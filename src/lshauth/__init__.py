@@ -23,8 +23,7 @@ from .errors import (ConvergenceError, DimensionMismatchError,
                      DuplicateRecordError, LshAuthError, NotRegisteredError,
                      ParseError, ValidationError)
 from .formats import load_dataset, load_registry, save_dataset, save_registry
-from .lsh import (BucketStats, HashKey, LshIndex, LshTable, build_index,
-                  load_index, save_index)
+from .lsh import BucketStats, LshIndex, build_index, load_index, save_index
 from .oracle import exact_nn, oracle_authorize
 
 __version__ = "0.1.0"

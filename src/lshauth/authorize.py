@@ -128,26 +128,17 @@ def enroll(index: LshIndex, registry: TransmitterRegistry,
            new_records: Dataset, tx_ids: Iterable[int]) -> None:
     """Authorize transmitters and append their records to the index.
 
-    Atomic: all validation happens before any state changes, and a failure
-    while inserting rolls the registry back. Existing buckets and
-    hyperplanes are never modified, only appended to.
+    Atomic: the insert is itself atomic and the registry changes only
+    after it succeeds. Existing buckets and hyperplanes are never modified,
+    only appended to.
     """
     ids = {int(t) for t in tx_ids}
     stray = new_records.transmitters() - ids
     if stray:
         raise ValidationError(
             f"records for transmitters {sorted(stray)} are not covered by tx_ids")
-    prior = {t: registry.statuses().get(t) for t in ids}
+    index.insert_dataset(new_records)
     registry.set_status(sorted(ids), TxStatus.AUTHORIZED)
-    try:
-        index.insert_dataset(new_records)
-    except Exception:
-        for t, status in prior.items():
-            if status is None:
-                registry._status.pop(t, None)
-            else:
-                registry.set_status(t, status)
-        raise
 
 
 def revoke(registry: TransmitterRegistry, tx_ids: Iterable[int]) -> None:

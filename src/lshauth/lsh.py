@@ -4,8 +4,16 @@ Each of the L tables holds K hyperplanes with i.i.d. standard-normal
 components. A vector's key in a table is the K-bit sign pattern of its dot
 products with that table's hyperplanes (after subtracting an optional center
 offset): bit i is 1 when w_i . (v - center) >= 0, with exact zeros mapping
-to 1. Hyperplane index 0 occupies the most significant bit, so the canonical
-text form of a key reads left to right in hyperplane order.
+to 1. Hyperplane index 0 occupies the most significant bit. `LshIndex.keys`
+is the only code that computes keys: inserts, queries and snapshot loads
+all go through it.
+
+Storage: one row store holds every record's vector and ids in row order.
+Each table is a dict from key to a read-only array of row positions, in
+bucket-creation order, with each bucket's rows in insertion order. An
+insert replaces a bucket's array with a longer one and never writes into
+an existing array, so copies share bucket arrays and a query can use one
+without copying it.
 
 Candidate retrieval unions the L buckets a query maps to; the exact scan is
 then restricted to that union. All hyperplanes are drawn up front from one
@@ -14,8 +22,9 @@ PCG64 stream seeded at construction, so two indexes built with the same
 index equal the tables of the corresponding (L-1)-table index.
 
 Build and insert require exclusive access; once loading is done the index
-is treated as frozen and queries may run concurrently (interleaving inserts
-with queries is unsupported and must be serialized by the caller).
+is treated as frozen and queries may run concurrently, each thread staging
+its distance math in scratch buffers of its own (interleaving inserts with
+queries is unsupported and must be serialized by the caller).
 
 Snapshot layout ("idx"):
     magic   8 bytes ASCII "LSHIDX01"
@@ -37,14 +46,16 @@ hyperplane-defining state: it is untouched by inserts.
 
 from __future__ import annotations
 
+import copy
 import struct
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, FingerprintRecord
+from .data import Dataset, FingerprintRecord, _combined_ids
 from .distance import euclidean, gathered_squared_distances, nearest_position
 from .errors import (DimensionMismatchError, DuplicateRecordError, ParseError,
                      ValidationError)
@@ -52,105 +63,16 @@ from .errors import (DimensionMismatchError, DuplicateRecordError, ParseError,
 MAX_HASH_BITS = 256
 INDEX_MAGIC = b"LSHIDX01"
 
-_GROW = 1024  # initial row-store capacity
+_GROW = 1024  # initial row-store and scratch capacity
+_HASH_CHUNK = 4096  # rows hashed per block, bounding keys()' temporaries
 
 
-def pack_bit_rows(bits: np.ndarray, k: int) -> list[int]:
-    """Pack an (n, k) boolean array into per-row integers, MSB = column 0."""
-    n = bits.shape[0]
-    if k == 0:
-        return [0] * n
-    if k <= 64:
-        powers = np.uint64(1) << np.arange(k - 1, -1, -1, dtype=np.uint64)
-        return (bits.astype(np.uint64) @ powers).tolist()
-    packed = np.packbits(bits, axis=1)
-    pad = packed.shape[1] * 8 - k
-    return [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
+def _frozen(rows: np.ndarray) -> np.ndarray:
+    rows.flags.writeable = False
+    return rows
 
 
-@dataclass(frozen=True)
-class HashKey:
-    """A K-bit bucket label; value holds hyperplane 0 at the MSB."""
-
-    value: int
-    length: int
-
-    def __post_init__(self):
-        if not 0 <= self.length <= MAX_HASH_BITS:
-            raise ValidationError(f"key length out of range: {self.length}")
-        if not 0 <= self.value < (1 << self.length):
-            raise ValidationError(
-                f"key value {self.value} does not fit in {self.length} bits")
-
-    @classmethod
-    def from_text(cls, text: str) -> "HashKey":
-        if text and set(text) - {"0", "1"}:
-            raise ValidationError(f"key text must be binary, got {text!r}")
-        return cls(int(text, 2) if text else 0, len(text))
-
-    @property
-    def text(self) -> str:
-        return format(self.value, f"0{self.length}b") if self.length else ""
-
-    def __str__(self) -> str:
-        return self.text
-
-
-class LshTable:
-    """One hash table: K hyperplanes plus key -> bucket of row positions."""
-
-    __slots__ = ("planes", "_buckets", "_arrays", "_index")
-
-    def __init__(self, planes: np.ndarray, index: "LshIndex"):
-        self.planes = planes  # (K, dim) float64, read-only view
-        self._buckets: dict[int, list[int]] = {}
-        self._arrays: dict[int, np.ndarray] = {}  # cache of bucket position arrays
-        self._index = index
-
-    def _append(self, key_value: int, row: int) -> None:
-        self._buckets.setdefault(key_value, []).append(row)
-        self._arrays.pop(key_value, None)
-
-    def _bucket_array(self, key_value: int) -> Optional[np.ndarray]:
-        arr = self._arrays.get(key_value)
-        if arr is None:
-            rows = self._buckets.get(key_value)
-            if rows is None:
-                return None
-            arr = np.asarray(rows, dtype=np.intp)
-            self._arrays[key_value] = arr
-        return arr
-
-    @property
-    def hash_bits(self) -> int:
-        return self.planes.shape[0]
-
-    def hash_key(self, vector, center=None) -> HashKey:
-        """Key for a single vector: sign bits of hyperplane dot products."""
-        v = np.asarray(vector, dtype=np.float64).reshape(-1)
-        if v.shape[0] != self.planes.shape[1]:
-            raise DimensionMismatchError(
-                f"vector has dim {v.shape[0]}, table expects {self.planes.shape[1]}")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("query vector has non-finite components")
-        if center is not None:
-            v = v - np.asarray(center, dtype=np.float64)
-        k = self.hash_bits
-        if k == 0:
-            return HashKey(0, 0)
-        bits = (self.planes @ v) >= 0.0
-        return HashKey(pack_bit_rows(bits.reshape(1, -1), k)[0], k)
-
-    def keys(self) -> list[HashKey]:
-        k = self.hash_bits
-        return [HashKey(v, k) for v in self._buckets]
-
-    def bucket(self, key: HashKey) -> list[FingerprintRecord]:
-        rows = self._buckets.get(key.value, [])
-        return [self._index._record_at(r) for r in rows]
-
-    def bucket_sizes(self) -> dict[int, int]:
-        return {k: len(v) for k, v in self._buckets.items()}
+_NO_ROWS = _frozen(np.empty(0, dtype=np.intp))
 
 
 @dataclass
@@ -205,7 +127,12 @@ class LshIndex:
         planes.flags.writeable = False
         self.hyperplanes = planes  # (L, K, dim)
         self._planes_2d = planes.reshape(num_tables * hash_bits, dim)
-        self.tables = [LshTable(planes[t], self) for t in range(num_tables)]
+        # bit weights, hyperplane 0 first; above 64 bits keys are Python ints
+        self._powers = (np.uint64(1) << np.arange(hash_bits - 1, -1, -1,
+                                                  dtype=np.uint64)
+                        if hash_bits <= 64 else None)
+        self._buckets: list[dict[int, np.ndarray]] = [
+            {} for _ in range(num_tables)]
 
         cap = _GROW
         self._matrix = np.empty((cap, dim), dtype=np.float64)
@@ -213,9 +140,7 @@ class LshIndex:
         self._sm = np.empty(cap, dtype=np.uint32)
         self._n = 0
         self._ids: set[int] = set()
-        # scratch for distance math, grown on demand; see _workspace
-        self._diff_buf = np.empty((_GROW, dim), dtype=np.float64)
-        self._sq_buf = np.empty(_GROW, dtype=np.float64)
+        self._local = threading.local()  # per-thread scratch, see _scratch
 
     # -- record store -------------------------------------------------------
 
@@ -241,15 +166,18 @@ class LshIndex:
         sm[:self._n] = self._sm[:self._n]
         self._matrix, self._tx, self._sm = mat, tx, sm
 
-    def _workspace(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Scratch buffers with at least `rows` rows (contents undefined)."""
-        if self._diff_buf.shape[0] < rows:
-            cap = self._diff_buf.shape[0]
+    def _scratch(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """This thread's distance buffers, with at least `rows` rows
+        (contents undefined)."""
+        local = self._local
+        diff = getattr(local, "diff", None)
+        if diff is None or diff.shape[0] < rows:
+            cap = _GROW
             while cap < rows:
                 cap *= 2
-            self._diff_buf = np.empty((cap, self.dim), dtype=np.float64)
-            self._sq_buf = np.empty(cap, dtype=np.float64)
-        return self._diff_buf, self._sq_buf
+            local.diff = diff = np.empty((cap, self.dim), dtype=np.float64)
+            local.sq = np.empty(cap, dtype=np.float64)
+        return diff, local.sq
 
     def reserve(self, additional: int) -> None:
         """Preallocate room for `additional` more records.
@@ -274,72 +202,53 @@ class LshIndex:
 
     # -- hashing ------------------------------------------------------------
 
-    def _keys_for_rows(self, matrix_f64: np.ndarray) -> list[list[int]]:
-        """Per-table key values for each row of an (n, dim) float64 matrix."""
-        n = matrix_f64.shape[0]
-        k = self.hash_bits
-        if k == 0:
-            zeros = [0] * n
-            return [zeros[:] for _ in range(self.num_tables)]
-        proj = (matrix_f64 - self.center) @ self._planes_2d.T  # (n, L*K)
-        bits = proj >= 0.0
-        return [pack_bit_rows(bits[:, t * k:(t + 1) * k], k)
-                for t in range(self.num_tables)]
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        """Bucket keys of each row of an (n, dim) float64 matrix, as (n, L).
 
-    def _fill_buckets_grouped(self, table: "LshTable", vals: np.ndarray,
-                              start: int) -> None:
-        """Append `start + i -> vals[i]` bucket entries in one grouped pass.
-
-        Produces the same bucket contents, entry order, and bucket creation
-        order as appending row by row (groups are stable-sorted and then
-        replayed in first-occurrence order).
+        Entry [i, t] holds row i's K sign bits against table t's hyperplanes,
+        hyperplane 0 at the most significant bit. The dtype is uint64 for
+        K <= 64 and object (Python ints) above that.
         """
-        order = np.argsort(vals, kind="stable")
-        sorted_vals = vals[order]
-        cuts = np.flatnonzero(np.diff(sorted_vals)) + 1
-        groups = np.split(order, cuts)
-        firsts = np.asarray([g[0] for g in groups])
-        for g_i in np.argsort(firsts, kind="stable"):
-            group = groups[g_i]
-            key = int(vals[group[0]])
-            bucket = table._buckets.setdefault(key, [])
-            bucket.extend((start + group).tolist())
-            table._arrays.pop(key, None)
-
-    def key_for(self, vector, table: int = 0) -> HashKey:
-        return self.tables[table].hash_key(vector, self.center)
+        if rows.ndim != 2 or rows.shape[1] != self.dim:
+            raise DimensionMismatchError(
+                f"rows have shape {rows.shape}, index expects (n, {self.dim})")
+        n, k, num_tables = rows.shape[0], self.hash_bits, self.num_tables
+        dtype = np.uint64 if self._powers is not None else object
+        if k == 0 or n == 0:
+            return np.zeros((n, num_tables), dtype=dtype)
+        if n == 1:  # every query: a mat-vec is cheaper than a (1, dim) GEMM
+            blocks = [self._planes_2d @ (rows[0] - self.center)]
+        else:  # blocks bound the temporaries of a bulk insert or load
+            blocks = ((rows[c0:c0 + _HASH_CHUNK] - self.center)
+                      @ self._planes_2d.T for c0 in range(0, n, _HASH_CHUNK))
+        out = []
+        for proj in blocks:
+            bits = (proj >= 0.0).reshape(-1, k)
+            if self._powers is not None:
+                out.append(bits.astype(np.uint64) @ self._powers)
+            else:
+                keys = np.empty(bits.shape[0], dtype=object)
+                keys[:] = [int.from_bytes(b.tobytes(), "big") >> (-k % 8)
+                           for b in np.packbits(bits, axis=1)]
+                out.append(keys)
+        return (out[0] if len(out) == 1 else np.concatenate(out)).reshape(
+            n, num_tables)
 
     # -- insertion ----------------------------------------------------------
 
     def insert(self, record: FingerprintRecord) -> None:
         """Place one record into its bucket in every table."""
-        if record.dim != self.dim:
-            raise DimensionMismatchError(
-                f"record dim {record.dim} does not match index dim {self.dim}")
-        key = (record.tx_id << 32) | record.sample_id
-        if key in self._ids:
-            raise DuplicateRecordError(
-                f"(tx {record.tx_id}, sample {record.sample_id}) already indexed")
-        v64 = record.vector.astype(np.float64).reshape(1, -1)
-        keys = self._keys_for_rows(v64)
-        self._ensure_capacity(1)
-        row = self._n
-        self._matrix[row] = v64[0]
-        self._tx[row] = record.tx_id
-        self._sm[row] = record.sample_id
-        self._n += 1
-        self._ids.add(key)
-        for t in range(self.num_tables):
-            self.tables[t]._append(keys[t][0], row)
+        self.insert_dataset(Dataset.from_records([record]))
 
     def insert_dataset(self, data: Dataset) -> None:
-        """Bulk insert, equivalent to insert() in dataset order.
+        """Append the records of `data`, in dataset order, to every table.
 
-        Validates every id against the index (and the batch itself, via the
-        dataset's own uniqueness invariant) before touching any state, so a
-        duplicate leaves the index unchanged. Rows are hashed in fixed-size
-        chunks staged through the index workspaces, keeping per-call
-        temporaries bounded no matter how large the batch is.
+        Atomic: ids are checked against the index (the batch's own ids are
+        unique by the dataset's invariant) and every row is hashed before
+        any state changes, so a failure leaves the index as it was. New rows
+        are grouped per table by a stable sort, with new buckets created in
+        first-occurrence order, so the buckets, their entry order and their
+        creation order equal those of inserting the records one by one.
         """
         if data.dim != self.dim:
             raise DimensionMismatchError(
@@ -347,51 +256,35 @@ class LshIndex:
         n = len(data)
         if n == 0:
             return
-        batch = ((data.tx_ids.astype(np.uint64) << np.uint64(32))
-                 | data.sample_ids.astype(np.uint64)).tolist()
-        for key in batch:
-            if key in self._ids:
-                raise DuplicateRecordError(
-                    f"(tx {key >> 32}, sample {key & 0xFFFFFFFF}) already indexed")
+        batch = _combined_ids(data.tx_ids, data.sample_ids).tolist()
+        if not self._ids.isdisjoint(batch):
+            key = next(k for k in batch if k in self._ids)
+            raise DuplicateRecordError(
+                f"(tx {key >> 32}, sample {key & 0xFFFFFFFF}) already indexed")
+        # stage the rows past the end of the store; they count only once
+        # self._n moves over them
         self._ensure_capacity(n)
         start = self._n
-        self._matrix[start:start + n] = data.matrix  # exact f32 -> f64 upcast
+        staged = self._matrix[start:start + n]
+        staged[:] = data.matrix  # exact f32 -> f64 upcast
+        keys = self.keys(staged)
         self._tx[start:start + n] = data.tx_ids
         self._sm[start:start + n] = data.sample_ids
+
+        for buckets, column in zip(self._buckets, keys.T):
+            order = np.argsort(column, kind="stable")
+            ranked = column[order]
+            cuts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+            firsts = np.concatenate(([0], cuts))
+            groups = np.split(_frozen(order + start), cuts)
+            group_keys = ranked[firsts].tolist()
+            for g in np.argsort(order[firsts]).tolist():
+                old = buckets.get(group_keys[g])
+                buckets[group_keys[g]] = (
+                    groups[g] if old is None
+                    else _frozen(np.concatenate((old, groups[g]))))
         self._n += n
         self._ids.update(batch)
-
-        k = self.hash_bits
-        if k == 0:
-            for table in self.tables:
-                bucket = table._buckets.setdefault(0, [])
-                bucket.extend(range(start, start + n))
-                table._arrays.pop(0, None)
-            return
-        powers = (np.uint64(1) << np.arange(k - 1, -1, -1, dtype=np.uint64)
-                  if k <= 64 else None)
-        chunk = 4096
-        scratch, _ = self._workspace(min(n, chunk))
-        for c0 in range(0, n, chunk):
-            c1 = min(n, c0 + chunk)
-            m = c1 - c0
-            diff = np.subtract(self._matrix[start + c0:start + c1],
-                               self.center, out=scratch[:m])
-            bits = (diff @ self._planes_2d.T) >= 0.0
-            for t in range(self.num_tables):
-                table = self.tables[t]
-                table_bits = bits[:, t * k:(t + 1) * k]
-                if powers is not None:
-                    self._fill_buckets_grouped(
-                        table, table_bits.astype(np.uint64) @ powers,
-                        start + c0)
-                else:
-                    tkeys = pack_bit_rows(table_bits, k)
-                    for i in range(m):
-                        table._buckets.setdefault(tkeys[i], []) \
-                            .append(start + c0 + i)
-                    for key in set(tkeys):
-                        table._arrays.pop(key, None)
 
     # -- queries ------------------------------------------------------------
 
@@ -408,22 +301,19 @@ class LshIndex:
         """Union of the query's buckets across tables.
 
         Order is table index then within-bucket insertion order, first
-        occurrence kept on duplicates. The returned array may be shared
-        internal state; callers must not modify it.
+        occurrence kept on duplicates. The returned array is read-only and
+        may be shared internal state.
         """
-        k = self.hash_bits
-        if k == 0:
-            return np.arange(self._n, dtype=np.intp)
-        bits = (self._planes_2d @ (v64 - self.center)) >= 0.0
-        keys = pack_bit_rows(bits.reshape(self.num_tables, k), k)
         hits = []
-        for t in range(self.num_tables):
-            arr = self.tables[t]._bucket_array(keys[t])
-            if arr is not None:
-                hits.append(arr)
+        for buckets, key in zip(self._buckets,
+                                self.keys(v64.reshape(1, -1))[0].tolist()):
+            rows = buckets.get(key)
+            if rows is not None:
+                hits.append(rows)
         if not hits:
-            return np.empty(0, dtype=np.intp)
-        if len(hits) == 1:
+            return _NO_ROWS
+        # a bucket holding every row (always so at K=0) is the whole union
+        if len(hits) == 1 or hits[0].size == self._n:
             return hits[0]
         # keep-first dedup across tables; within a table a record appears once
         taken = np.zeros(self._n, dtype=bool)
@@ -449,7 +339,7 @@ class LshIndex:
         pos = self._candidate_positions(v64)
         if pos.size == 0:
             return None
-        diff_buf, sq_buf = self._workspace(pos.size)
+        diff_buf, sq_buf = self._scratch(pos.size)
         sq = gathered_squared_distances(self._matrix, pos, v64, diff_buf,
                                         sq_buf)
         best_i = nearest_position(self._tx[pos], self._sm[pos], sq)
@@ -458,8 +348,8 @@ class LshIndex:
     def bucket_stats(self) -> BucketStats:
         stats = BucketStats(size=self._n, hash_bits=self.hash_bits)
         total_keys = float(2 ** self.hash_bits)
-        for tab in self.tables:
-            sizes = [len(b) for b in tab._buckets.values()]
+        for buckets in self._buckets:
+            sizes = [b.size for b in buckets.values()]
             hist: dict[int, int] = {}
             for s in sizes:
                 hist[s] = hist.get(s, 0) + 1
@@ -474,28 +364,18 @@ class LshIndex:
         return stats
 
     def copy(self) -> "LshIndex":
-        """Independent deep copy sharing no mutable state."""
-        dup = LshIndex.__new__(LshIndex)
-        dup.dim = self.dim
-        dup.num_tables = self.num_tables
-        dup.hash_bits = self.hash_bits
-        dup.seed = self.seed
-        dup.center = self.center
-        dup.hyperplanes = self.hyperplanes
-        dup._planes_2d = self._planes_2d
-        dup.tables = [LshTable(self.hyperplanes[t], dup)
-                      for t in range(self.num_tables)]
-        for t in range(self.num_tables):
-            dup.tables[t]._buckets = {k: list(v)
-                                      for k, v in self.tables[t]._buckets.items()}
-            dup.tables[t]._arrays = {}
+        """Independent copy sharing no mutable state.
+
+        Bucket arrays are never written after creation, so only the dicts
+        holding them are copied.
+        """
+        dup = copy.copy(self)
+        dup._buckets = [dict(b) for b in self._buckets]
         dup._matrix = self._matrix.copy()
         dup._tx = self._tx.copy()
         dup._sm = self._sm.copy()
-        dup._n = self._n
         dup._ids = set(self._ids)
-        dup._diff_buf = np.empty((_GROW, self.dim), dtype=np.float64)
-        dup._sq_buf = np.empty(_GROW, dtype=np.float64)
+        dup._local = threading.local()
         return dup
 
 
@@ -516,22 +396,62 @@ def hyperplane_section_length(dim: int) -> int:
 
 
 def save_index(index: LshIndex, path) -> None:
-    k = index.hash_bits
-    key_bytes = (k + 7) // 8
+    key_bytes = (index.hash_bits + 7) // 8
     with open(path, "wb") as fh:
         fh.write(INDEX_MAGIC)
-        fh.write(_IDX_FIXED.pack(index.seed, index.dim, index.num_tables, k))
+        fh.write(_IDX_FIXED.pack(index.seed, index.dim, index.num_tables,
+                                 index.hash_bits))
         fh.write(index.center.astype("<f8").tobytes())
         fh.write(struct.pack("<I", index.size))
-        for tab in index.tables:
-            fh.write(struct.pack("<I", len(tab._buckets)))
-            for key_value, rows in tab._buckets.items():
-                fh.write(int(key_value).to_bytes(key_bytes, "big"))
-                fh.write(struct.pack("<I", len(rows)))
-                ids = np.empty((len(rows), 2), dtype="<u4")
-                ids[:, 0] = index._tx[rows]
-                ids[:, 1] = index._sm[rows]
-                fh.write(ids.tobytes())
+        for buckets in index._buckets:
+            rows = np.concatenate([_NO_ROWS, *buckets.values()])
+            entries = np.empty((rows.size, 2), dtype="<u4")
+            entries[:, 0] = index._tx[rows]
+            entries[:, 1] = index._sm[rows]
+            blob = entries.tobytes()
+            parts = [struct.pack("<I", len(buckets))]
+            off = 0
+            for key, bucket in buckets.items():
+                parts += (key.to_bytes(key_bytes, "big"),
+                          struct.pack("<I", bucket.size),
+                          blob[off:off + 8 * bucket.size])
+                off += 8 * bucket.size
+            fh.write(b"".join(parts))
+
+
+class _Reader:
+    """Cursor over a snapshot's bytes; every read is bounds-checked and a
+    short one raises ParseError."""
+
+    def __init__(self, raw: bytes, path):
+        self.view = memoryview(raw)
+        self.path = path
+        self.off = 0
+
+    def take(self, size: int, what: str) -> memoryview:
+        end = self.off + size
+        if end > len(self.view):
+            raise ParseError(self.path, f"truncated {what}", offset=self.off)
+        chunk = self.view[self.off:end]
+        self.off = end
+        return chunk
+
+    def u32(self, what: str) -> int:
+        return int.from_bytes(self.take(4, what), "little")
+
+
+def _find(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Position in `ids` (distinct) of each of `wanted`, -1 where absent."""
+    if ids.size == 0:
+        return np.full(wanted.shape, -1, dtype=np.intp)
+    by_id = np.argsort(ids)
+    at = np.searchsorted(ids, wanted, sorter=by_id)
+    pos = by_id[np.minimum(at, ids.size - 1)]
+    return np.where(ids[pos] == wanted, pos, -1)
+
+
+def _id_text(cid: int) -> str:
+    return f"(tx {cid >> 32}, sample {cid & 0xFFFFFFFF})"
 
 
 def load_index(path, data: Dataset) -> LshIndex:
@@ -539,103 +459,79 @@ def load_index(path, data: Dataset) -> LshIndex:
 
     Every stored (tx_id, sample_id) must exist in `data`, and each record is
     re-hashed to confirm it belongs in its recorded bucket; a mismatch means
-    the snapshot and dataset do not correspond.
+    the snapshot and dataset do not correspond. Rows come out in table-0
+    order, and every table keeps the bucket and entry order of the file.
     """
     raw = Path(path).read_bytes()
-    if len(raw) < 8 or raw[:8] != INDEX_MAGIC:
+    reader = _Reader(raw, path)
+    if reader.take(8, "magic") != INDEX_MAGIC:
         raise ParseError(path, f"bad magic; expected {INDEX_MAGIC!r}", offset=0)
-    off = 8
-    try:
-        seed, dim, num_tables, k = _IDX_FIXED.unpack_from(raw, off)
-    except struct.error:
-        raise ParseError(path, "truncated header", offset=off) from None
-    off += _IDX_FIXED.size
+    seed, dim, num_tables, k = _IDX_FIXED.unpack(
+        reader.take(_IDX_FIXED.size, "header"))
     if dim != data.dim:
         raise ParseError(path, f"snapshot dim {dim} != dataset dim {data.dim}",
                          offset=8)
-    center = np.frombuffer(raw, dtype="<f8", count=dim, offset=off).copy()
-    off += 8 * dim
-    (size,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    center = np.frombuffer(reader.take(8 * dim, "center"), dtype="<f8")
+    size = reader.u32("record count")
 
-    index = LshIndex(dim, num_tables, k, seed, center)
     key_bytes = (k + 7) // 8
+    tables = []  # per table: bucket keys, bucket sizes, entry ids in order
+    for t in range(num_tables):
+        what = f"table {t}"
+        keys, counts, chunks = [], [], []
+        for _ in range(reader.u32(what)):
+            keys.append(int.from_bytes(reader.take(key_bytes, what), "big"))
+            counts.append(reader.u32(what))
+            chunks.append(reader.take(8 * counts[-1], what))
+        entries = np.frombuffer(b"".join(chunks), dtype="<u4").reshape(-1, 2)
+        tables.append((keys, counts, _combined_ids(entries[:, 0],
+                                                   entries[:, 1])))
+    if reader.off != len(raw):
+        raise ParseError(path, f"{len(raw) - reader.off} trailing bytes",
+                         offset=reader.off)
+    try:
+        index = LshIndex(dim, num_tables, k, seed, center)
+    except ValidationError as e:
+        raise ParseError(path, str(e), offset=8) from None
 
-    pos_of: dict[int, int] = {}
-    for i in range(len(data)):
-        pos_of[(int(data.tx_ids[i]) << 32) | int(data.sample_ids[i])] = i
-    mat64 = data.matrix_f64()
-
-    # first pass: collect per-table bucket layouts
-    layouts: list[list[tuple[int, list[int]]]] = []
-    for _t in range(num_tables):
-        try:
-            (nbuckets,) = struct.unpack_from("<I", raw, off)
-            off += 4
-            table_layout: list[tuple[int, list[int]]] = []
-            for _b in range(nbuckets):
-                key_value = int.from_bytes(raw[off:off + key_bytes], "big")
-                if len(raw[off:off + key_bytes]) != key_bytes:
-                    raise struct.error("truncated key")
-                off += key_bytes
-                (count,) = struct.unpack_from("<I", raw, off)
-                off += 4
-                ids = np.frombuffer(raw, dtype="<u4", count=2 * count,
-                                    offset=off).reshape(count, 2)
-                off += 8 * count
-                combined = [(int(t) << 32) | int(s) for t, s in ids]
-                table_layout.append((key_value, combined))
-            layouts.append(table_layout)
-        except struct.error:
-            raise ParseError(path, "truncated table section", offset=off) from None
-    if off != len(raw):
-        raise ParseError(path, f"{len(raw) - off} trailing bytes", offset=off)
-
-    # row store in table-0 traversal order; every table indexes the same set
-    order: list[int] = []
-    for _key, combined in layouts[0]:
-        order.extend(combined)
-    if len(order) != size or len(set(order)) != size:
+    # rows in table-0 order; every table indexes the same set
+    order = tables[0][2]
+    if order.size != size or np.unique(order).size != size:
         raise ParseError(path, "table 0 does not cover the stored record set")
-    rows = []
-    for cid in order:
-        if cid not in pos_of:
-            raise ParseError(
-                path, f"record (tx {cid >> 32}, sample {cid & 0xFFFFFFFF}) "
-                      f"not present in the resolving dataset")
-        rows.append(pos_of[cid])
-    rows = np.asarray(rows, dtype=np.intp)
-
+    data_rows = _find(_combined_ids(data.tx_ids, data.sample_ids), order)
+    missing = np.flatnonzero(data_rows < 0)
+    if missing.size:
+        raise ParseError(path, f"record {_id_text(int(order[missing[0]]))} "
+                               f"not present in the resolving dataset")
     index._ensure_capacity(size)
-    index._matrix[:size] = mat64[rows]
-    index._tx[:size] = data.tx_ids[rows]
-    index._sm[:size] = data.sample_ids[rows]
+    index._matrix[:size] = data.matrix[data_rows]
+    index._tx[:size] = data.tx_ids[data_rows]
+    index._sm[:size] = data.sample_ids[data_rows]
     index._n = size
-    index._ids = set(order)
+    index._ids = set(order.tolist())
 
-    row_of = {cid: i for i, cid in enumerate(order)}
-    expected_keys = index._keys_for_rows(index._matrix[:size])
-    for t, table_layout in enumerate(layouts):
-        buckets = index.tables[t]._buckets
-        seen = 0
-        for key_value, combined in table_layout:
-            bucket_rows = []
-            for cid in combined:
-                if cid not in row_of:
-                    raise ParseError(
-                        path, f"table {t} references unknown record "
-                              f"(tx {cid >> 32}, sample {cid & 0xFFFFFFFF})")
-                row = row_of[cid]
-                if expected_keys[t][row] != key_value:
-                    raise ParseError(
-                        path, f"record (tx {cid >> 32}, sample "
-                              f"{cid & 0xFFFFFFFF}) does not hash to its "
-                              f"recorded bucket in table {t}; snapshot and "
-                              f"dataset disagree")
-                bucket_rows.append(row)
-            buckets[key_value] = bucket_rows
-            seen += len(bucket_rows)
-        if seen != size:
-            raise ParseError(path, f"table {t} indexes {seen} records, "
+    expected = index.keys(index._matrix[:size])
+    for t, (keys, counts, ids) in enumerate(tables):
+        if ids.size != size:
+            raise ParseError(path, f"table {t} indexes {ids.size} records, "
                                    f"expected {size}")
+        rows = np.arange(size) if t == 0 else _find(order, ids)
+        unknown = np.flatnonzero(rows < 0)
+        if unknown.size:
+            raise ParseError(path, f"table {t} references unknown record "
+                                   f"{_id_text(int(ids[unknown[0]]))}")
+        if t and np.unique(rows).size != size:
+            raise ParseError(path, f"table {t} lists a record twice")
+        stored = np.repeat(np.array(keys, dtype=expected.dtype), counts)
+        wrong = np.flatnonzero(stored != expected[rows, t])
+        if wrong.size:
+            raise ParseError(
+                path, f"record {_id_text(int(ids[wrong[0]]))} does not hash "
+                      f"to its recorded bucket in table {t}; snapshot and "
+                      f"dataset disagree")
+        buckets = dict(zip(keys, np.split(_frozen(rows),
+                                          np.cumsum(counts[:-1], dtype=np.intp))))
+        if len(buckets) != len(keys):
+            raise ParseError(path, f"table {t} repeats a bucket key")
+        index._buckets[t] = buckets
     return index

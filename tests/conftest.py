@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -81,3 +83,30 @@ def draw_queries(rng, data: Dataset, count: int) -> np.ndarray:
 def small_dataset():
     data, _, _ = make_instance(seed=424242)
     return data
+
+
+def parse_snapshot(raw: bytes) -> list[list[tuple[int, list[tuple[int, int]]]]]:
+    """The tables of an `.idx` snapshot, read independently of lshauth.
+
+    Each table is its list of (key, [(tx_id, sample_id), ...]) buckets in
+    file order. The header is skipped; the whole input must be consumed.
+    """
+    dim, num_tables, k = struct.unpack_from("<III", raw, 16)
+    off = 28 + 8 * dim + 4  # magic, seed, dim, L, K, center, size
+    key_bytes = (k + 7) // 8
+    tables = []
+    for _ in range(num_tables):
+        (nbuckets,) = struct.unpack_from("<I", raw, off)
+        off += 4
+        buckets = []
+        for _ in range(nbuckets):
+            key = int.from_bytes(raw[off:off + key_bytes], "big")
+            (count,) = struct.unpack_from("<I", raw, off + key_bytes)
+            off += key_bytes + 4
+            entries = [struct.unpack_from("<II", raw, off + 8 * i)
+                       for i in range(count)]
+            off += 8 * count
+            buckets.append((key, entries))
+        tables.append(buckets)
+    assert off == len(raw)
+    return tables

@@ -78,12 +78,10 @@ def test_c03_collision_probability_law():
         v = np.zeros(dim)
         v[0], v[1] = math.cos(theta), math.sin(theta)
         index = build_index(dim, 100, 200, seed=60_000 + j)
-        equal = 0
-        for table in index.tables:
-            ku = table.hash_key(u, index.center).text
-            kv = table.hash_key(v, index.center).text
-            equal += sum(a == b for a, b in zip(ku, kv))
-        rate = equal / 20_000
+        bits_u = index.hyperplanes @ (u - index.center) >= 0.0
+        bits_v = index.hyperplanes @ (v - index.center) >= 0.0
+        assert bits_u.size == 20_000
+        rate = float(np.sum(bits_u == bits_v)) / 20_000
         assert abs(rate - (1 - theta / math.pi)) < 0.02, theta
 
 

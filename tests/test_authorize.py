@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import draw_queries, make_instance
+from conftest import draw_queries, make_instance, parse_snapshot
 from lshauth.authorize import (AuthDecision, Evidence, Reason, Verdict,
                                authorize, authorize_batch, enroll, revoke)
 from lshauth.data import Dataset, TransmitterRegistry, TxStatus
@@ -156,18 +156,26 @@ def test_enroll_rolls_back_registry_on_duplicate():
     assert registry.status_of(1) is TxStatus.AUTHORIZED
 
 
-def test_enroll_is_append_only():
+def test_enroll_is_append_only(tmp_path):
     base = _cluster(1, [4.0, 0.0], 15, seed=20)
     index = build_index(2, 3, 3, seed=21)
     index.insert_dataset(base)
-    before = [dict(t._buckets) for t in index.tables]
+    save_index(index, tmp_path / "before.idx")
     registry = TransmitterRegistry()
     registry.set_status(1, TxStatus.AUTHORIZED)
     new = _cluster(2, [0.0, 4.0], 15, seed=22)
     enroll(index, registry, new, [2])
-    for t, old_buckets in enumerate(before):
-        for key, rows in old_buckets.items():
-            assert index.tables[t]._buckets[key][:len(rows)] == rows
+    save_index(index, tmp_path / "after.idx")
+    before = parse_snapshot((tmp_path / "before.idx").read_bytes())
+    after = parse_snapshot((tmp_path / "after.idx").read_bytes())
+    for old_table, new_table in zip(before, after):
+        # old buckets keep their place, and each old bucket is a prefix
+        assert len(new_table) >= len(old_table)
+        for (key, entries), (new_key, new_entries) in zip(old_table,
+                                                          new_table):
+            assert new_key == key
+            assert new_entries[:len(entries)] == entries
+            assert all(tx == 2 for tx, _ in new_entries[len(entries):])
 
 
 def test_enrollment_locality():

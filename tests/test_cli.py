@@ -212,6 +212,18 @@ def test_cli_reports_errors(tmp_path, capsys):
     assert code == 2 or code != 0
 
 
+def test_cli_authorize_on_truncated_index_reports_error(tmp_path, capsys):
+    data_path = _generate(tmp_path)
+    index_path = _build(tmp_path, data_path)
+    raw = index_path.read_bytes()
+    index_path.write_bytes(raw[:len(raw) - 5])
+    code = main(["authorize", "--index", str(index_path),
+                 "--data", str(data_path), "--queries", str(data_path),
+                 "--authorized", "0-5", "--out", str(tmp_path / "d.csv")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_error_exit_code_on_bad_format(tmp_path, capsys):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"garbage!")

@@ -1,19 +1,22 @@
 """Hash tables, bucket bookkeeping, candidate retrieval, ANN search and
 snapshots."""
 
+import gc
 import math
+import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import parse_snapshot
 from lshauth.data import Dataset, FingerprintRecord
 from lshauth.errors import (DimensionMismatchError, DuplicateRecordError,
                             ParseError, ValidationError)
-from lshauth.lsh import (HashKey, LshTable, build_index,
-                         hyperplane_section_length, load_index,
-                         pack_bit_rows, save_index)
+from lshauth.lsh import (LshIndex, build_index, hyperplane_section_length,
+                         load_index, save_index)
 from lshauth.oracle import exact_nn
 
 
@@ -25,57 +28,101 @@ def _dataset(seed: int, n: int, dim: int, scale: float = 1.0) -> Dataset:
                    (rng.standard_normal((n, dim)) * scale).astype(np.float32))
 
 
-# -- HashKey ------------------------------------------------------------------
-
-def test_hash_key_text_round_trip():
-    key = HashKey.from_text("10110")
-    assert key.value == 0b10110
-    assert key.text == "10110"
-    assert str(key) == "10110"
-
-
-def test_hash_key_empty():
-    key = HashKey(0, 0)
-    assert key.text == ""
+def _sign_keys(index, rows) -> list[list[int]]:
+    """Reference keys: per row and table, the K sign bits read from
+    `index.hyperplanes` one dot product at a time, hyperplane 0 first."""
+    out = []
+    for row in np.asarray(rows, dtype=np.float64):
+        diff = row - index.center
+        out.append([int("".join("1" if float(np.dot(w, diff)) >= 0.0 else "0"
+                                for w in planes) or "0", 2)
+                    for planes in index.hyperplanes])
+    return out
 
 
-def test_hash_key_validation():
-    with pytest.raises(ValidationError):
-        HashKey(4, 2)
-    with pytest.raises(ValidationError):
-        HashKey(1, 0)
-    with pytest.raises(ValidationError):
-        HashKey(0, 300)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.booleans(), min_size=0, max_size=256))
-def test_pack_bit_rows_matches_text(bits):
-    k = len(bits)
-    arr = np.asarray([bits], dtype=bool) if k else np.zeros((1, 0), dtype=bool)
-    value = pack_bit_rows(arr, k)[0]
-    text = "".join("1" if b else "0" for b in bits)
-    assert HashKey(value, k).text == text
+def _snapshot(index, tmp_path, name="snap.idx") -> bytes:
+    path = tmp_path / name
+    save_index(index, path)
+    return path.read_bytes()
 
 
 # -- hashing ------------------------------------------------------------------
 
+def test_hash_key_text_round_trip():
+    """keys() matches independently computed sign bits for every K, both
+    for a batch and for one row at a time."""
+    for k in (0, 1, 7, 8, 9, 16, 63, 64, 65, 128, 200, 256):
+        index = build_index(5, 3, k, seed=k, center=np.full(5, 0.5))
+        rows = np.random.Generator(np.random.PCG64(k)).standard_normal((9, 5))
+        keys = index.keys(rows)
+        assert keys.shape == (9, 3)
+        assert keys.dtype == (np.uint64 if k <= 64 else object)
+        assert keys.tolist() == _sign_keys(index, rows), k
+        for i in range(9):
+            assert index.keys(rows[i:i + 1]).tolist() == [keys[i].tolist()]
+
+
+def test_hash_key_empty():
+    index = build_index(3, 4, 0, seed=1)
+    keys = index.keys(np.random.Generator(np.random.PCG64(0))
+                      .standard_normal((6, 3)))
+    assert keys.shape == (6, 4)
+    assert keys.tolist() == [[0] * 4] * 6
+    assert index.keys(np.empty((0, 3))).shape == (0, 4)
+
+
+def test_hash_key_validation():
+    index = build_index(3, 2, 4, seed=0)
+    with pytest.raises(DimensionMismatchError):
+        index.keys(np.zeros((2, 4)))
+    with pytest.raises(DimensionMismatchError):
+        index.keys(np.zeros(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.booleans(), min_size=0, max_size=256))
+def test_keys_match_chosen_sign_patterns(bits):
+    """Any K-bit pattern, K from 0 to 256, reads back with hyperplane 0 at
+    the most significant bit."""
+    k = len(bits)
+    dim = max(k, 1)
+    index = build_index(dim, 1, k, seed=k)
+    signs = np.where(bits, 1.0, -1.0)
+    # a vector whose dot products with the K hyperplanes are exactly `signs`
+    v = np.linalg.solve(index.hyperplanes[0], signs) if k else np.ones(1)
+    text = "".join("1" if b else "0" for b in bits)
+    want = int(text, 2) if k else 0
+    assert index.keys(v.reshape(1, -1)).tolist() == [[want]]
+    assert index.keys(np.stack([v, -v])).tolist() == [
+        [want], [(1 << k) - 1 - want]]
+
+
 def test_hash_key_sign_arithmetic():
-    table = LshTable(np.array([[1.0, 0.0], [0.0, 1.0]]), None)
-    assert table.hash_key([3.0, -4.0]).text == "10"
-    assert table.hash_key([-1.0, -1.0]).text == "00"
+    index = build_index(2, 1, 2, seed=5)
+    w = index.hyperplanes[0]
+    # vectors whose dot products with hyperplanes 0 and 1 are given outright
+    assert index.keys(np.linalg.solve(w, [3.0, -4.0]).reshape(1, -1)) \
+        .tolist() == [[0b10]]
+    assert index.keys(np.linalg.solve(w, [-1.0, -1.0]).reshape(1, -1)) \
+        .tolist() == [[0b00]]
+    assert index.keys(np.linalg.solve(w, [-2.0, 0.5]).reshape(1, -1)) \
+        .tolist() == [[0b01]]
 
 
 def test_hash_key_tie_maps_to_one():
-    table = LshTable(np.array([[1.0, 0.0], [0.0, 1.0]]), None)
-    center = np.array([2.0, 5.0])
-    assert table.hash_key(center, center).text == "11"
+    for k in (5, 200):
+        center = np.array([2.0, 5.0, -1.0])
+        index = build_index(3, 3, k, seed=7, center=center)
+        assert index.keys(center.reshape(1, -1)).tolist() == [[(1 << k) - 1] * 3]
 
 
 def test_hash_key_dim_mismatch():
-    table = LshTable(np.eye(3), None)
+    index = build_index(3, 2, 4, seed=0)
+    index.insert(FingerprintRecord(0, 0, [1.0, 2.0, 3.0]))
     with pytest.raises(DimensionMismatchError):
-        table.hash_key([1.0, 2.0])
+        index.ann_search([1.0, 2.0])
+    with pytest.raises(DimensionMismatchError):
+        index.candidates([1.0, 2.0, 3.0, 4.0])
 
 
 # -- construction -------------------------------------------------------------
@@ -87,11 +134,10 @@ def test_build_shapes_and_determinism():
     assert np.array_equal(a.hyperplanes, b.hyperplanes)
 
 
-def test_build_k0_single_empty_key():
+def test_build_k0_single_empty_key(tmp_path):
     index = build_index(3, 2, 0, seed=1)
     index.insert(FingerprintRecord(0, 0, [1.0, 2.0, 3.0]))
-    for table in index.tables:
-        assert table.keys() == [HashKey(0, 0)]
+    assert parse_snapshot(_snapshot(index, tmp_path)) == [[(0, [(0, 0)])]] * 2
 
 
 def test_build_validation():
@@ -112,15 +158,15 @@ def test_prefix_tables_shared_across_l():
 
 # -- insertion ----------------------------------------------------------------
 
-def test_insert_places_in_every_table():
+def test_insert_places_in_every_table(tmp_path):
     index = build_index(4, 2, 3, seed=3)
     record = FingerprintRecord(7, 1, [0.5, -1.0, 2.0, 0.25])
     index.insert(record)
     assert index.size == 1
-    for table in index.tables:
-        keys = table.keys()
-        assert len(keys) == 1
-        assert table.bucket(keys[0]) == [record]
+    keys = _sign_keys(index, [record.vector])[0]
+    assert parse_snapshot(_snapshot(index, tmp_path)) == [
+        [(key, [(7, 1)])] for key in keys]
+    assert index.candidates(record.vector) == [record]
 
 
 def test_insert_duplicate_errors_and_size_stays():
@@ -131,12 +177,12 @@ def test_insert_duplicate_errors_and_size_stays():
     assert index.size == 1
 
 
-def test_insert_k0_piles_into_single_bucket():
+def test_insert_k0_piles_into_single_bucket(tmp_path):
     index = build_index(2, 3, 0, seed=0)
     data = _dataset(1, 9, 2)
     index.insert_dataset(data)
-    for table in index.tables:
-        assert table.bucket_sizes() == {0: 9}
+    ids = [r.key() for r in data]
+    assert parse_snapshot(_snapshot(index, tmp_path)) == [[(0, ids)]] * 3
 
 
 def test_insert_dim_mismatch():
@@ -145,15 +191,17 @@ def test_insert_dim_mismatch():
         index.insert(FingerprintRecord(0, 0, [1.0, 2.0]))
 
 
-def test_bulk_insert_equivalent_to_loop():
+def test_bulk_insert_equivalent_to_loop(tmp_path):
     data = _dataset(8, 40, 6)
-    one = build_index(6, 3, 4, seed=5)
-    two = build_index(6, 3, 4, seed=5)
-    for record in data:
-        one.insert(record)
-    two.insert_dataset(data)
-    for t in range(3):
-        assert one.tables[t]._buckets == two.tables[t]._buckets
+    for k in (4, 70):
+        one = build_index(6, 3, k, seed=5)
+        two = build_index(6, 3, k, seed=5)
+        for record in data:
+            one.insert(record)
+        two.insert_dataset(data.subset(range(25)))
+        two.insert_dataset(data.subset(range(25, 40)))
+        assert _snapshot(one, tmp_path, "one.idx") == \
+            _snapshot(two, tmp_path, "two.idx"), k
 
 
 def test_bulk_insert_duplicate_leaves_index_unchanged():
@@ -235,12 +283,10 @@ def test_candidate_completeness_small(seed, num_tables, hash_bits):
     rng = np.random.Generator(np.random.PCG64(seed + 1))
     q = rng.standard_normal(4)
     got = {c.key() for c in index.candidates(q)}
-    expected = set()
-    for table in index.tables:
-        qkey = table.hash_key(q, index.center)
-        for record in data:
-            if table.hash_key(record.vector, index.center) == qkey:
-                expected.add(record.key())
+    qkeys = _sign_keys(index, [q])[0]
+    expected = {record.key()
+                for record, keys in zip(data, _sign_keys(index, data.matrix))
+                if any(a == b for a, b in zip(keys, qkeys))}
     assert got == expected
 
 
@@ -250,17 +296,16 @@ def test_candidate_completeness_at_full_scale():
     index = build_index(6, 3, 4, seed=777,
                         center=data.matrix_f64().mean(axis=0))
     index.insert_dataset(data)
+    record_keys = _sign_keys(index, data.matrix)
     rng = np.random.Generator(np.random.PCG64(31))
     for _ in range(10):
         q = rng.standard_normal(6)
         got = [c.key() for c in index.candidates(q)]
         assert len(got) == len(set(got))
-        expected = set()
-        for table in index.tables:
-            qkey = table.hash_key(q, index.center)
-            for record in data:
-                if table.hash_key(record.vector, index.center) == qkey:
-                    expected.add(record.key())
+        qkeys = _sign_keys(index, [q])[0]
+        expected = {record.key()
+                    for record, keys in zip(data, record_keys)
+                    if any(a == b for a, b in zip(keys, qkeys))}
         assert set(got) == expected
 
 
@@ -317,12 +362,10 @@ def test_collision_probability_law_small():
     v = np.zeros(8)
     v[0], v[1] = math.cos(theta), math.sin(theta)
     index = build_index(8, 50, 200, seed=314)
-    equal = total = 0
-    for table in index.tables:
-        ku = table.hash_key(u, index.center).text
-        kv = table.hash_key(v, index.center).text
-        equal += sum(a == b for a, b in zip(ku, kv))
-        total += 200
+    bits_u = index.hyperplanes @ (u - index.center) >= 0.0
+    bits_v = index.hyperplanes @ (v - index.center) >= 0.0
+    equal = int(np.sum(bits_u == bits_v))
+    total = bits_u.size
     assert total == 10_000
     assert abs(equal / total - (1 - theta / math.pi)) < 0.02
 
@@ -471,3 +514,83 @@ def test_copy_is_independent():
     assert dup.size == 40
     q = data.matrix[0]
     assert index.ann_search(q)[0].key() == dup.ann_search(q)[0].key()
+
+
+# -- contracts: concurrency, parsing, atomicity, lifetime ---------------------
+
+def test_concurrent_queries_match_serial():
+    data = _dataset(61, 600, 8, scale=3.0)
+    index = build_index(8, 2, 0, seed=62)  # every query scans all records
+    index.insert_dataset(data)
+    queries = np.random.Generator(np.random.PCG64(63)).standard_normal(
+        (1000, 8)) * 3.0
+    want = [exact_nn(data, q) for q in queries]
+    wrong, errors = [], []
+
+    def worker():
+        try:
+            for q, (record, dist) in zip(queries, want):
+                got = index.ann_search(q)
+                if got[0].key() != record.key() or got[1] != dist:
+                    wrong.append(got)
+        except Exception as e:  # collected and asserted on below
+            errors.append(e)
+
+    threads = [threading.Thread(target=worker) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert errors == []
+    assert len(wrong) == 0
+
+
+def test_every_truncated_snapshot_raises_parse_error(tmp_path):
+    data = _dataset(71, 100, 3)
+    index = build_index(3, 3, 4, seed=72)
+    index.insert_dataset(data)
+    raw = _snapshot(index, tmp_path)
+    path = tmp_path / "cut.idx"
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ParseError):
+            load_index(path, data)
+
+
+def test_failed_insert_leaves_index_unchanged(tmp_path, monkeypatch):
+    data = _dataset(81, 60, 4)
+    index = build_index(4, 3, 3, seed=82)
+    index.insert_dataset(data.subset(range(40)))
+    q = data.matrix[45]
+    before = (len(index), index.candidates(q), _snapshot(index, tmp_path))
+
+    def broken(self, rows):
+        raise RuntimeError("hashing failed")
+
+    monkeypatch.setattr(LshIndex, "keys", broken)
+    with pytest.raises(RuntimeError):
+        index.insert_dataset(data.subset(range(40, 60)))
+    with pytest.raises(RuntimeError):
+        index.insert(data.record(50))
+    monkeypatch.undo()
+    assert (len(index), index.candidates(q),
+            _snapshot(index, tmp_path)) == before
+    index.insert_dataset(data.subset(range(40, 60)))  # the retry succeeds
+    assert len(index) == 60
+
+
+def test_dropped_index_is_freed_without_the_cycle_collector():
+    data = _dataset(91, 50, 4)
+    gc.disable()
+    try:
+        index = build_index(4, 3, 3, seed=92)
+        index.insert_dataset(data)
+        index.ann_search(data.matrix[0])
+        dup = index.copy()
+        dup.ann_search(data.matrix[1])
+        refs = [weakref.ref(index), weakref.ref(dup)]
+        del index, dup
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
