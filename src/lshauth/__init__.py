@@ -19,9 +19,9 @@ from .data import (Dataset, FingerprintRecord, SplitResult, SyntheticSpec,
                    split_dataset)
 from .dimreduce import (Projector, fit_pca, fit_random_projection,
                         load_projector, project, save_projector)
-from .errors import (ConvergenceError, DimensionMismatchError,
-                     DuplicateRecordError, LshAuthError, NotRegisteredError,
-                     ParseError, ValidationError)
+from .errors import (DimensionMismatchError, DuplicateRecordError,
+                     LshAuthError, NotRegisteredError, ParseError,
+                     ValidationError)
 from .formats import load_dataset, load_registry, save_dataset, save_registry
 from .lsh import BucketStats, LshIndex, build_index, load_index, save_index
 from .oracle import exact_nn, oracle_authorize

@@ -202,31 +202,11 @@ def latency_summary(latencies_ns: Sequence[int],
             float(ordered[rank]))
 
 
-def time_block(label: str, action: Callable[[], object]) -> int:
+def time_block(action: Callable[[], object]) -> int:
     """Run the action once; nanoseconds elapsed on the monotonic clock."""
     t0 = time.perf_counter_ns()
     action()
     return time.perf_counter_ns() - t0
-
-
-@dataclass(frozen=True)
-class TimingStats:
-    label: str
-    samples_ns: tuple[int, ...]
-    mean_ns: float
-    variance_ns: float
-
-
-def repeat_timing(label: str, action: Callable[[], object],
-                  repeats: int) -> TimingStats:
-    """Repeat a timed action; variance is reported alongside the mean."""
-    if repeats < 1:
-        raise ValidationError("repeats must be >= 1")
-    samples = tuple(time_block(label, action) for _ in range(repeats))
-    mean = statistics.fmean(samples)
-    var = statistics.pvariance(samples) if len(samples) > 1 else 0.0
-    return TimingStats(label=label, samples_ns=samples, mean_ns=mean,
-                       variance_ns=var)
 
 
 def cap_per_class(data: Dataset, cap: int) -> Dataset:

@@ -19,7 +19,7 @@ from .errors import ValidationError
 U32_MAX = 2**32 - 1
 
 
-def _combined_ids(tx_ids: np.ndarray, sample_ids: np.ndarray) -> np.ndarray:
+def combined_ids(tx_ids: np.ndarray, sample_ids: np.ndarray) -> np.ndarray:
     """Pack (tx_id, sample_id) pairs into single uint64 keys."""
     return (tx_ids.astype(np.uint64) << np.uint64(32)) | sample_ids.astype(np.uint64)
 
@@ -98,7 +98,7 @@ class Dataset:
                 f"non-finite vector component in record {bad} "
                 f"(tx {int(tx[bad])}, sample {int(sm[bad])})"
             )
-        keys = _combined_ids(tx, sm)
+        keys = combined_ids(tx, sm)
         if np.unique(keys).size != keys.size:
             raise ValidationError("duplicate (tx_id, sample_id) pair in dataset")
         mat = np.ascontiguousarray(mat)

@@ -5,15 +5,13 @@ seeded random Gaussian projection. A projector is fit once on the initial
 training pool and then reused, frozen, for every later batch and query; it
 is never refit when the authorized set changes.
 
-PCA is computed with power iteration plus deflation on the covariance of
-the mean-centered training matrix: each component iterates v <- Cv / |Cv|
-(re-orthogonalized against earlier components) until successive iterates
-differ by less than 1e-9 in norm, capped at 10,000 iterations, after which
-lambda * v v^T is deflated from C. Eigenvalues are the variances along each
-component, reported in non-increasing order. Each row is sign-normalized so
-its first component larger than 1e-12 in magnitude is positive. When the
-residual covariance is numerically zero (rank-deficient data), remaining
-rows complete an orthonormal basis and get eigenvalue 0.
+PCA takes one symmetric eigendecomposition (LAPACK via numpy.linalg.eigh)
+of the covariance of the mean-centered training matrix and keeps the top
+out_dim eigenpairs. Eigenvalues are the variances along each component,
+reported in non-increasing order; those at or below 1e-12 * trace(cov) are
+reported as exactly 0, so rank-deficient data reads 0 on its trailing
+components. Each row is sign-normalized so its first component larger than
+1e-12 in magnitude is positive.
 
 Snapshot layout ("prj"):
     magic    8 bytes ASCII "LSHPRJ01"
@@ -33,14 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .errors import (ConvergenceError, DimensionMismatchError, ParseError,
-                     ValidationError)
+from .errors import DimensionMismatchError, ParseError, ValidationError
 
 PROJECTOR_MAGIC = b"LSHPRJ01"
-_PCA_START_SEED = 0x9E3779B97F4A7C15  # fixed stream for power-iteration starts
-
-PCA_CONVERGENCE_TOL = 1e-9
-PCA_MAX_ITERATIONS = 10_000
 ORTHONORMAL_TOL = 1e-6
 
 
@@ -109,19 +102,6 @@ def _sign_normalize(row: np.ndarray) -> np.ndarray:
     return row
 
 
-def _complete_basis(rows: list[np.ndarray], dim: int) -> np.ndarray:
-    """Deterministic unit vector orthogonal to the rows found so far."""
-    for axis in range(dim):
-        v = np.zeros(dim)
-        v[axis] = 1.0
-        for r in rows:
-            v -= (r @ v) * r
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            return v / norm
-    raise ValidationError("cannot extend orthonormal basis")  # unreachable
-
-
 def fit_pca(train: Dataset, out_dim: int) -> Projector:
     """Top principal directions of the mean-centered training matrix."""
     n = len(train)
@@ -134,53 +114,14 @@ def fit_pca(train: Dataset, out_dim: int) -> Projector:
     mean = x.mean(axis=0)
     xc = x - mean
     cov = (xc.T @ xc) / n
-    trace0 = float(np.trace(cov))
-    zero_scale = 1e-12 * max(trace0, 1e-30)
-
-    rng = np.random.Generator(np.random.PCG64(_PCA_START_SEED))
-    rows: list[np.ndarray] = []
-    eigenvalues: list[float] = []
-    residual = cov.copy()
-    for comp in range(out_dim):
-        if float(np.linalg.norm(residual)) <= zero_scale:
-            v = _complete_basis(rows, train.dim)
-            lam = 0.0
-        else:
-            v = rng.standard_normal(train.dim)
-            for r in rows:
-                v -= (r @ v) * r
-            v /= np.linalg.norm(v)
-            converged = False
-            for _ in range(PCA_MAX_ITERATIONS):
-                w = residual @ v
-                for r in rows:
-                    w -= (r @ w) * r
-                norm = float(np.linalg.norm(w))
-                if norm <= zero_scale:
-                    break  # residual spectrum is numerically zero
-                w /= norm
-                if float(np.linalg.norm(w - v)) < PCA_CONVERGENCE_TOL:
-                    v = w
-                    converged = True
-                    break
-                v = w
-            if not converged:
-                if float(np.linalg.norm(residual @ v)) <= zero_scale:
-                    v = _complete_basis(rows, train.dim)
-                else:
-                    raise ConvergenceError(comp, PCA_MAX_ITERATIONS)
-            lam = float(v @ (residual @ v))
-            lam = max(lam, 0.0)
-            residual -= lam * np.outer(v, v)
-        if eigenvalues:
-            lam = min(lam, eigenvalues[-1])  # guard rounding inversions on ties
-        rows.append(v)
-        eigenvalues.append(lam)
-    matrix = np.stack([_sign_normalize(r) for r in rows])
+    zero_scale = 1e-12 * max(float(np.trace(cov)), 1e-30)
+    values, vectors = np.linalg.eigh(cov)  # ascending
+    eig = values[::-1][:out_dim].copy()
+    eig[eig <= zero_scale] = 0.0
+    top = vectors[:, ::-1][:, :out_dim].T
+    matrix = np.stack([_sign_normalize(v) for v in top])
     matrix.flags.writeable = False
-    eig = np.asarray(eigenvalues)
     eig.flags.writeable = False
-    mean = mean.copy()
     mean.flags.writeable = False
     return Projector(kind="pca", matrix=matrix, mean=mean, eigenvalues=eig)
 

@@ -47,7 +47,9 @@ def gathered_squared_distances(matrix: np.ndarray, rows: np.ndarray,
     hot query paths do not churn megabytes of temporaries per call.
     """
     n = rows.shape[0]
-    diff = np.take(matrix, rows, axis=0, out=diff_buffer[:n])
+    # rows are internal positions; mode="clip" lets numpy write straight into
+    # `out`, where the default mode="raise" buffers through a temporary
+    diff = np.take(matrix, rows, axis=0, out=diff_buffer[:n], mode="clip")
     np.subtract(diff, vector, out=diff)
     return np.einsum("ij,ij->i", diff, diff, out=out_buffer[:n])
 

@@ -42,13 +42,3 @@ class ParseError(LshAuthError, ValueError):
             where += f" (offset {offset})"
         super().__init__(f"{where}: {message}")
 
-
-class ConvergenceError(LshAuthError, ArithmeticError):
-    """An iterative solver failed to converge; names the component index."""
-
-    def __init__(self, component: int, iterations: int):
-        self.component = component
-        self.iterations = iterations
-        super().__init__(
-            f"component {component} did not converge within {iterations} iterations"
-        )

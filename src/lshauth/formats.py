@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, TransmitterRegistry, TxStatus, _combined_ids
+from .data import Dataset, TransmitterRegistry, TxStatus, combined_ids
 from .errors import ParseError, ValidationError
 
 DATASET_MAGIC = b"LSHEMB01"
@@ -91,7 +91,7 @@ def _load_bin(path) -> Dataset:
         bad = int(np.argwhere(~np.isfinite(vecs).all(axis=1))[0][0])
         raise ParseError(path, f"non-finite component in record {bad}",
                          offset=16 + bad * rec_bytes)
-    keys = _combined_ids(tx.astype(np.uint32), sm.astype(np.uint32))
+    keys = combined_ids(tx.astype(np.uint32), sm.astype(np.uint32))
     uniq, counts = np.unique(keys, return_counts=True)
     if uniq.size != keys.size:
         dup = uniq[counts > 1][0]

@@ -55,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, FingerprintRecord, _combined_ids
+from .data import Dataset, FingerprintRecord, combined_ids
 from .distance import euclidean, gathered_squared_distances, nearest_position
 from .errors import (DimensionMismatchError, DuplicateRecordError, ParseError,
                      ValidationError)
@@ -256,7 +256,7 @@ class LshIndex:
         n = len(data)
         if n == 0:
             return
-        batch = _combined_ids(data.tx_ids, data.sample_ids).tolist()
+        batch = combined_ids(data.tx_ids, data.sample_ids).tolist()
         if not self._ids.isdisjoint(batch):
             key = next(k for k in batch if k in self._ids)
             raise DuplicateRecordError(
@@ -484,8 +484,8 @@ def load_index(path, data: Dataset) -> LshIndex:
             counts.append(reader.u32(what))
             chunks.append(reader.take(8 * counts[-1], what))
         entries = np.frombuffer(b"".join(chunks), dtype="<u4").reshape(-1, 2)
-        tables.append((keys, counts, _combined_ids(entries[:, 0],
-                                                   entries[:, 1])))
+        tables.append((keys, counts, combined_ids(entries[:, 0],
+                                                  entries[:, 1])))
     if reader.off != len(raw):
         raise ParseError(path, f"{len(raw) - reader.off} trailing bytes",
                          offset=reader.off)
@@ -498,7 +498,7 @@ def load_index(path, data: Dataset) -> LshIndex:
     order = tables[0][2]
     if order.size != size or np.unique(order).size != size:
         raise ParseError(path, "table 0 does not cover the stored record set")
-    data_rows = _find(_combined_ids(data.tx_ids, data.sample_ids), order)
+    data_rows = _find(combined_ids(data.tx_ids, data.sample_ids), order)
     missing = np.flatnonzero(data_rows < 0)
     if missing.size:
         raise ParseError(path, f"record {_id_text(int(order[missing[0]]))} "

@@ -142,7 +142,7 @@ def test_c05_retraining_linearity():
             index = base.copy()
             reg = registry.copy()
             times.append(time_block(
-                "enroll", lambda: enroll(index, reg, addition, tx_ids)))
+                lambda: enroll(index, reg, addition, tx_ids)))
         return min(times)  # wall-clock noise is one-sided
 
     # untimed warm-up settles allocator and frequency state

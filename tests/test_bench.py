@@ -8,7 +8,7 @@ from lshauth.authorize import (AuthDecision, Evidence, Reason, Verdict,
 from lshauth.bench import (ExperimentConfig, apply_addition,
                            build_initial_state, cap_per_class,
                            compute_metrics, config_from_mapping,
-                           latency_summary, parse_config_file, repeat_timing,
+                           latency_summary, parse_config_file,
                            run_add_auth_sweep, run_grid_sweep, time_block,
                            write_csv)
 from lshauth.data import SyntheticSpec, generate_synthetic
@@ -76,7 +76,7 @@ def test_latency_summary_warmup():
 
 
 def test_time_block_overhead():
-    assert time_block("noop", lambda: None) < 1_000_000  # under a millisecond
+    assert time_block(lambda: None) < 1_000_000  # under a millisecond
 
 
 def test_time_block_indexing_linearity():
@@ -91,17 +91,10 @@ def test_time_block_indexing_linearity():
     build(data)  # warm-up
     full_times, small_times = [], []
     for _ in range(5):  # interleaved minima resist transient load
-        full_times.append(time_block("index", lambda: build(data)))
-        small_times.append(time_block("index", lambda: build(small)))
+        full_times.append(time_block(lambda: build(data)))
+        small_times.append(time_block(lambda: build(small)))
     ratio = min(full_times) / min(small_times)
     assert 1.5 <= ratio <= 3.0
-
-
-def test_repeat_timing_reports_variance():
-    stats = repeat_timing("noop", lambda: None, repeats=10)
-    assert len(stats.samples_ns) == 10
-    assert stats.mean_ns >= 0
-    assert stats.variance_ns >= 0
 
 
 def test_cap_per_class_exact():

@@ -209,7 +209,8 @@ def test_bench_grid_cli(tmp_path):
 def test_cli_reports_errors(tmp_path, capsys):
     missing = tmp_path / "nope.bin"
     code = main(["stats", "--index", str(missing), "--data", str(missing)])
-    assert code == 2 or code != 0
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_authorize_on_truncated_index_reports_error(tmp_path, capsys):

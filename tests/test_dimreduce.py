@@ -1,4 +1,5 @@
-"""PCA by power iteration, random projections, and projector snapshots."""
+"""PCA by symmetric eigendecomposition, random projections, and projector
+snapshots."""
 
 import numpy as np
 import pytest
@@ -68,19 +69,17 @@ def test_pca_sign_convention():
 
 
 def test_pca_matches_dense_eigensolver():
-    """Independent route: numpy's symmetric eigendecomposition."""
+    """Independent route: the SVD of the centred matrix, not its covariance."""
     data = _cloud(17, 400, 8, spread=[7, 5, 4, 3, 2, 1.5, 1, 0.5])
     projector = fit_pca(data, 8)
     x = data.matrix_f64()
     centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / len(data)
-    reference_vals, reference_vecs = np.linalg.eigh(cov)
-    reference_vals = reference_vals[::-1]
-    reference_vecs = reference_vecs[:, ::-1]
+    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
+    reference_vals = singular ** 2 / len(data)
     assert np.allclose(projector.eigenvalues, reference_vals,
                        rtol=1e-6, atol=1e-9)
     for i in range(8):
-        cosine = abs(projector.matrix[i] @ reference_vecs[:, i])
+        cosine = abs(projector.matrix[i] @ vt[i])
         assert cosine > 1 - 1e-6
 
 
@@ -94,18 +93,17 @@ def test_pca_rank_deficient_completes_basis():
     assert np.max(np.abs(gram - np.eye(2))) < 1e-6
 
 
-def test_pca_non_convergence_names_component():
-    # covariance exactly diag(1, 0.999): the iterate delta decays too slowly
-    # to pass the 1e-9 gate within the iteration cap
+def test_pca_close_eigenvalues_resolved():
+    # covariance exactly diag(1, 0.999): two close eigenvalues still have a
+    # well-defined top direction
     a = np.sqrt(2.0)
     b = np.sqrt(2.0 * 0.999)
     rows = np.array([[a, 0.0], [-a, 0.0], [0.0, b], [0.0, -b]],
                     dtype=np.float32)
     data = Dataset(2, [0, 0, 0, 0], [0, 1, 2, 3], rows)
-    from lshauth.errors import ConvergenceError
-    with pytest.raises(ConvergenceError) as exc:
-        fit_pca(data, 1)
-    assert exc.value.component == 0
+    projector = fit_pca(data, 2)
+    assert np.allclose(np.abs(projector.matrix[0]), [1.0, 0.0], atol=1e-9)
+    assert np.allclose(projector.eigenvalues, [1.0, 0.999], rtol=1e-6)
 
 
 def test_pca_validates_out_dim():
