@@ -8,23 +8,38 @@ to 1. Hyperplane index 0 occupies the most significant bit. `LshIndex.keys`
 is the only code that computes keys: inserts, queries and snapshot loads
 all go through it.
 
-Storage: one row store holds every record's vector and ids in row order.
-Each table is a dict from key to a read-only array of row positions, in
-bucket-creation order, with each bucket's rows in insertion order. An
-insert replaces a bucket's array with a longer one and never writes into
-an existing array, so copies share bucket arrays and a query can use one
-without copying it.
+Storage: one row store holds every record's vector, squared norm and ids in
+row order. Each table is a dict from key to a read-only array of row
+positions, in bucket-creation order, with each bucket's rows in insertion
+order. An insert replaces a bucket's array with a longer one and never
+writes into an existing array, so copies share bucket arrays and a query
+can use one without copying it.
 
 Candidate retrieval unions the L buckets a query maps to; the exact scan is
-then restricted to that union. All hyperplanes are drawn up front from one
-PCG64 stream seeded at construction, so two indexes built with the same
-(dim, L, K, seed) are identical, and the first L-1 tables of an L-table
-index equal the tables of the corresponding (L-1)-table index.
+then restricted to that union. `ann_search` reaches that scan by one of two
+branches, chosen per query from S, the summed sizes of the buckets it hit
+(known before any dedup):
+  - gather (S < DENSE_HIT_FRACTION * N): dedup the hit buckets into the
+    union and score every union row with the shared kernel;
+  - dense (otherwise): score all N rows at once as |m|^2 - 2 m.v with one
+    mat-vec against cached squared norms, mask the rows outside the union,
+    and keep the union rows whose score is within 2E + 2.5 g k of the best
+    one, where g = (d+3)u / (1 - (d+3)u), u = 2^-53, E = g (max|m| + |v|)^2
+    and k is the kernel's squared distance to the best-scoring row. This
+    bound is derived, not tuned: see `LshIndex._dense_shortlist`.
+Both re-score their rows with the shared kernel and tie-break, so they
+return the same record and distance bit for bit.
+
+All hyperplanes are drawn up front from one PCG64 stream seeded at
+construction, so two indexes built with the same (dim, L, K, seed) are
+identical, and the first L-1 tables of an L-table index equal the tables of
+the corresponding (L-1)-table index.
 
 Build and insert require exclusive access; once loading is done the index
 is treated as frozen and queries may run concurrently, each thread staging
-its distance math in scratch buffers of its own (interleaving inserts with
-queries is unsupported and must be serialized by the caller).
+its distance math, the dense branch's mat-vec and union mask included, in
+scratch buffers of its own (interleaving inserts with queries is
+unsupported and must be serialized by the caller).
 
 Snapshot layout ("idx"):
     magic   8 bytes ASCII "LSHIDX01"
@@ -47,6 +62,7 @@ hyperplane-defining state: it is untouched by inserts.
 from __future__ import annotations
 
 import copy
+import math
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -56,7 +72,8 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset, FingerprintRecord, combined_ids
-from .distance import euclidean, gathered_squared_distances, nearest_position
+from .distance import (euclidean, gathered_squared_distances,
+                       nearest_position, squared_distances)
 from .errors import (DimensionMismatchError, DuplicateRecordError, ParseError,
                      ValidationError)
 
@@ -65,6 +82,14 @@ INDEX_MAGIC = b"LSHIDX01"
 
 _GROW = 1024  # initial row-store and scratch capacity
 _HASH_CHUNK = 4096  # rows hashed per block, bounding keys()' temporaries
+_UNIT = 2.0 ** -53  # unit roundoff of float64
+# ann_search takes its dense branch when the query's hit buckets hold at
+# least this fraction of N rows in total, repeats across tables counted.
+# Timed per query on the benchmark instances, one core: on churn-dimred
+# (16 dims, N=9,940) the dense branch won from S/N 0.25 up; on
+# selective-large (64 dims, N=24,900) it lost at every S/N there, up to 0.4
+# (1,216 vs 819 us at S/N 0.25-0.4). 0.5 sits above every losing S/N.
+DENSE_HIT_FRACTION = 0.5
 
 
 def _frozen(rows: np.ndarray) -> np.ndarray:
@@ -136,6 +161,7 @@ class LshIndex:
 
         cap = _GROW
         self._matrix = np.empty((cap, dim), dtype=np.float64)
+        self._norms = np.empty(cap, dtype=np.float64)  # squared, per row
         self._tx = np.empty(cap, dtype=np.uint32)
         self._sm = np.empty(cap, dtype=np.uint32)
         self._n = 0
@@ -158,26 +184,40 @@ class LshIndex:
             return
         while cap < need:
             cap *= 2
-        mat = np.empty((cap, self.dim), dtype=np.float64)
-        mat[:self._n] = self._matrix[:self._n]
-        tx = np.empty(cap, dtype=np.uint32)
-        tx[:self._n] = self._tx[:self._n]
-        sm = np.empty(cap, dtype=np.uint32)
-        sm[:self._n] = self._sm[:self._n]
-        self._matrix, self._tx, self._sm = mat, tx, sm
 
-    def _scratch(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """This thread's distance buffers, with at least `rows` rows
-        (contents undefined)."""
-        local = self._local
-        diff = getattr(local, "diff", None)
-        if diff is None or diff.shape[0] < rows:
+        def grown(old: np.ndarray) -> np.ndarray:
+            new = np.empty((cap, *old.shape[1:]), dtype=old.dtype)
+            new[:self._n] = old[:self._n]
+            return new
+        self._matrix, self._norms, self._tx, self._sm = map(
+            grown, (self._matrix, self._norms, self._tx, self._sm))
+
+    def _stage(self, matrix, tx_ids, sample_ids) -> np.ndarray:
+        """Write rows and their squared norms past the end of the store and
+        return the staged vectors. They count only once self._n moves over
+        them, so staging alone changes nothing a reader can see."""
+        n = matrix.shape[0]
+        self._ensure_capacity(n)
+        at = slice(self._n, self._n + n)
+        staged = self._matrix[at]
+        staged[:] = matrix  # exact f32 -> f64 upcast
+        np.einsum("ij,ij->i", staged, staged, out=self._norms[at])
+        self._tx[at] = tx_ids
+        self._sm[at] = sample_ids
+        return staged
+
+    def _scratch(self, name: str, rows: int, dtype=np.float64,
+                 width: tuple = ()) -> np.ndarray:
+        """This thread's buffer `name`, with at least `rows` rows (contents
+        undefined)."""
+        buf = getattr(self._local, name, None)
+        if buf is None or buf.shape[0] < rows:
             cap = _GROW
             while cap < rows:
                 cap *= 2
-            local.diff = diff = np.empty((cap, self.dim), dtype=np.float64)
-            local.sq = np.empty(cap, dtype=np.float64)
-        return diff, local.sq
+            buf = np.empty((cap, *width), dtype=dtype)
+            setattr(self._local, name, buf)
+        return buf
 
     def reserve(self, additional: int) -> None:
         """Preallocate room for `additional` more records.
@@ -261,15 +301,9 @@ class LshIndex:
             key = next(k for k in batch if k in self._ids)
             raise DuplicateRecordError(
                 f"(tx {key >> 32}, sample {key & 0xFFFFFFFF}) already indexed")
-        # stage the rows past the end of the store; they count only once
-        # self._n moves over them
-        self._ensure_capacity(n)
         start = self._n
-        staged = self._matrix[start:start + n]
-        staged[:] = data.matrix  # exact f32 -> f64 upcast
-        keys = self.keys(staged)
-        self._tx[start:start + n] = data.tx_ids
-        self._sm[start:start + n] = data.sample_ids
+        keys = self.keys(self._stage(data.matrix, data.tx_ids,
+                                     data.sample_ids))
 
         for buckets, column in zip(self._buckets, keys.T):
             order = np.argsort(column, kind="stable")
@@ -297,19 +331,23 @@ class LshIndex:
             raise ValidationError("query vector has non-finite components")
         return v
 
-    def _candidate_positions(self, v64: np.ndarray) -> np.ndarray:
-        """Union of the query's buckets across tables.
-
-        Order is table index then within-bucket insertion order, first
-        occurrence kept on duplicates. The returned array is read-only and
-        may be shared internal state.
-        """
+    def _hits(self, v64: np.ndarray) -> list[np.ndarray]:
+        """The query's non-empty bucket in each table, in table order."""
         hits = []
         for buckets, key in zip(self._buckets,
                                 self.keys(v64.reshape(1, -1))[0].tolist()):
             rows = buckets.get(key)
             if rows is not None:
                 hits.append(rows)
+        return hits
+
+    def _union(self, hits: list[np.ndarray]) -> np.ndarray:
+        """Union of the hit buckets.
+
+        Order is table index then within-bucket insertion order, first
+        occurrence kept on duplicates. The returned array is read-only and
+        may be shared internal state.
+        """
         if not hits:
             return _NO_ROWS
         # a bucket holding every row (always so at K=0) is the whole union
@@ -325,23 +363,88 @@ class LshIndex:
                 taken[arr] = True
         return np.concatenate(parts)
 
+    def _dense_shortlist(self, v64: np.ndarray,
+                         hits: list[np.ndarray]) -> Optional[np.ndarray]:
+        """Union rows that can hold the union's nearest row, found with one
+        mat-vec over the whole store; None if the bound below overflows.
+
+        Row i scores a_i = fl(n_i - 2 fl(m_i . v)), where n_i = fl(|m_i|^2)
+        is the cached squared norm. The exact value A_i = D_i - |v|^2, with
+        D_i = |m_i - v|^2, orders rows as the distance does. With u = 2^-53
+        and g_k = k u / (1 - k u), a d-term dot product errs by at most
+        g_d sum|x_k y_k| in any summation order, so
+            |a_i - A_i| <= g_d |m_i|^2 + 2 g_d |m_i||v| + u |n_i - 2 m_i . v|
+                        <= g_{d+1} R^2,  R = max|m| + |v|.
+        The kernel's terms are non-negative, so its value k_i errs
+        relatively: |k_i - D_i| <= g_{d+2} D_i (one rounding for the
+        difference, one for the square, d - 1 for the sum).
+
+        Let g = g_{d+3} and E = g R^2. Let j be the argmin of a over the
+        union and w any union row with k_w <= k_j: the kernel's nearest
+        union row and its exact ties. Then
+            D_w <= k_w / (1-g) <= k_j / (1-g) <= D_j (1+g) / (1-g),
+            a_w <= A_w + E = A_j + (D_w - D_j) + E
+                <= a_j + 2E + 2g / (1-g)^2 k_j <= a_j + 2E + 2.5 g k_j.
+        2E exceeds the 2 g_{d+1} R^2 this needs by at least 4u R^2, which
+        covers the rounding of the threshold's two additions (each under
+        u R^2 + u g k_j) and of R, whose share is O(d^2 u^2 R^2). So every
+        union row at or under the computed threshold is returned, and
+        re-scoring them with the kernel and `nearest_position` gives the
+        union's result bit for bit.
+        """
+        n, d = self._n, self.dim
+        score = self._scratch("score", n)[:n]
+        # scaling by -2 is exact, so this is -2 fl(m_i . v) bit for bit
+        np.matmul(self._matrix[:n], -2.0 * v64, out=score)
+        score += self._norms[:n]
+        if max(rows.size for rows in hits) < n:  # else the union is all rows
+            outside = self._scratch("outside", n, dtype=bool)[:n]
+            outside.fill(True)
+            for rows in hits:
+                outside[rows] = False
+            np.copyto(score, np.inf, where=outside)
+        j = int(score.argmin())
+        k_j = float(squared_distances(self._matrix[j:j + 1], v64)[0])
+        g = (d + 3) * _UNIT / (1.0 - (d + 3) * _UNIT)
+        reach = math.sqrt(float(self._norms[:n].max())) + math.sqrt(
+            float(v64 @ v64))
+        limit = float(score[j]) + 2.0 * g * reach * reach + 2.5 * g * k_j
+        if not math.isfinite(limit):
+            return None
+        return np.flatnonzero(score <= limit)
+
     def candidates(self, vector) -> list[FingerprintRecord]:
-        v64 = self._query_vector(vector)
-        return [self._record_at(r) for r in self._candidate_positions(v64)]
+        rows = self._union(self._hits(self._query_vector(vector)))
+        return [self._record_at(r) for r in rows]
 
     def candidate_count(self, vector) -> int:
-        return int(self._candidate_positions(self._query_vector(vector)).size)
+        return int(self._union(self._hits(self._query_vector(vector))).size)
 
     def ann_search(self, vector) -> Optional[tuple[FingerprintRecord, float]]:
         """Nearest record among the query's bucket union, or None if the
-        union is empty. Distance ties break to the smallest (tx, sample)."""
+        union is empty. Distance ties break to the smallest (tx, sample).
+
+        A query whose hit buckets hold at least DENSE_HIT_FRACTION * N
+        rows in total (repeats across tables counted) takes the dense
+        branch: a mat-vec over every row shortlists the union rows that can
+        be nearest (see `_dense_shortlist`). Any other query gathers its
+        union. Either way the kernel re-scores the rows and
+        `nearest_position` picks among them, so both branches return the
+        same record and distance.
+        """
         v64 = self._query_vector(vector)
-        pos = self._candidate_positions(v64)
-        if pos.size == 0:
+        hits = self._hits(v64)
+        if not hits:
             return None
-        diff_buf, sq_buf = self._scratch(pos.size)
-        sq = gathered_squared_distances(self._matrix, pos, v64, diff_buf,
-                                        sq_buf)
+        pos = None
+        if sum(rows.size for rows in hits) >= DENSE_HIT_FRACTION * self._n:
+            pos = self._dense_shortlist(v64, hits)
+        if pos is None:
+            pos = self._union(hits)
+        sq = gathered_squared_distances(
+            self._matrix, pos, v64,
+            self._scratch("diff", pos.size, width=(self.dim,)),
+            self._scratch("sq", pos.size))
         best_i = nearest_position(self._tx[pos], self._sm[pos], sq)
         return self._record_at(int(pos[best_i])), euclidean(float(sq[best_i]))
 
@@ -372,6 +475,7 @@ class LshIndex:
         dup = copy.copy(self)
         dup._buckets = [dict(b) for b in self._buckets]
         dup._matrix = self._matrix.copy()
+        dup._norms = self._norms.copy()
         dup._tx = self._tx.copy()
         dup._sm = self._sm.copy()
         dup._ids = set(self._ids)
@@ -503,10 +607,8 @@ def load_index(path, data: Dataset) -> LshIndex:
     if missing.size:
         raise ParseError(path, f"record {_id_text(int(order[missing[0]]))} "
                                f"not present in the resolving dataset")
-    index._ensure_capacity(size)
-    index._matrix[:size] = data.matrix[data_rows]
-    index._tx[:size] = data.tx_ids[data_rows]
-    index._sm[:size] = data.sample_ids[data_rows]
+    index._stage(data.matrix[data_rows], data.tx_ids[data_rows],
+                 data.sample_ids[data_rows])
     index._n = size
     index._ids = set(order.tolist())
 
@@ -526,9 +628,10 @@ def load_index(path, data: Dataset) -> LshIndex:
         wrong = np.flatnonzero(stored != expected[rows, t])
         if wrong.size:
             raise ParseError(
-                path, f"record {_id_text(int(ids[wrong[0]]))} does not hash "
-                      f"to its recorded bucket in table {t}; snapshot and "
-                      f"dataset disagree")
+                path, f"table {t}: {wrong.size} of {size} records do not hash "
+                      f"to their recorded buckets (first: record "
+                      f"{_id_text(int(ids[wrong[0]]))}); snapshot and dataset "
+                      f"disagree")
         buckets = dict(zip(keys, np.split(_frozen(rows),
                                           np.cumsum(counts[:-1], dtype=np.intp))))
         if len(buckets) != len(keys):

@@ -3,8 +3,10 @@ snapshots."""
 
 import gc
 import math
+import sys
 import threading
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import parse_snapshot
+from lshauth import lsh
 from lshauth.data import Dataset, FingerprintRecord
 from lshauth.errors import (DimensionMismatchError, DuplicateRecordError,
                             ParseError, ValidationError)
-from lshauth.lsh import (LshIndex, build_index, hyperplane_section_length,
-                         load_index, save_index)
+from lshauth.lsh import (DENSE_HIT_FRACTION, LshIndex, build_index,
+                         hyperplane_section_length, load_index, save_index)
 from lshauth.oracle import exact_nn
 
 
@@ -473,6 +476,25 @@ def test_snapshot_wrong_dataset_rejected(tmp_path):
         load_index(path, other)
 
 
+def test_snapshot_mismatch_names_table_and_count(tmp_path):
+    data = _dataset(113, 200, 4)
+    index = build_index(4, 3, 5, seed=114)
+    index.insert_dataset(data)
+    path = tmp_path / "i.idx"
+    save_index(index, path)
+    matrix = data.matrix.copy()
+    matrix[10:50] += 0.4 * np.random.Generator(
+        np.random.PCG64(115)).standard_normal((40, 4)).astype(np.float32)
+    moved = Dataset(4, data.tx_ids, data.sample_ids, matrix)
+    changed = index.keys(data.matrix_f64()) != index.keys(moved.matrix_f64())
+    table = int(np.flatnonzero(changed.any(axis=0))[0])
+    count = int(changed[:, table].sum())
+    assert 1 < count < 40
+    with pytest.raises(ParseError, match=rf"table {table}: {count} of 200 "
+                                         r"records do not hash"):
+        load_index(path, moved)
+
+
 def test_snapshot_missing_record_rejected(tmp_path):
     data = _dataset(29, 30, 3)
     index = build_index(3, 2, 4, seed=9)
@@ -516,34 +538,200 @@ def test_copy_is_independent():
     assert index.ann_search(q)[0].key() == dup.ann_search(q)[0].key()
 
 
+# -- dense branch ---------------------------------------------------------------
+
+def _hit_sum(index, data, q) -> int:
+    """Rows in the query's bucket of each table, summed over the tables."""
+    kq = index.keys(np.asarray(q, dtype=np.float64).reshape(1, -1))
+    return int((index.keys(data.matrix_f64()) == kq).sum())
+
+
+def _union_nn(index, q):
+    candidates = index.candidates(q)
+    if not candidates:
+        return None
+    return exact_nn(Dataset.from_records(candidates, dim=index.dim), q)
+
+
+@pytest.fixture
+def rescored(monkeypatch):
+    """Row counts of every re-score the index runs."""
+    counts = []
+    kernel = lsh.gathered_squared_distances
+
+    def spy(matrix, rows, *args):
+        counts.append(rows.shape[0])
+        return kernel(matrix, rows, *args)
+
+    monkeypatch.setattr(lsh, "gathered_squared_distances", spy)
+    return counts
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dense_ties_stay_inside_the_union(seed, rescored):
+    # exact ties at 2|q| on both sides of q: 3q shares q's sign pattern in
+    # every table, -q (and the closer -q/2) flips it in every table
+    rng = np.random.Generator(np.random.PCG64(500 + seed))
+    dim = 4
+    q = rng.integers(-16, 17, dim) / 8.0
+    q[0] = 1.25  # not the zero vector
+    tied_in = [(9, 4), (2, 7), (7, 1)]
+    tied_out = [(1, 0), (1, 3), (0, 5)]
+    ids = tied_in + tied_out + [(0, 0)]
+    rows = [3.0 * q] * 3 + [-q] * 3 + [-0.5 * q]
+    for k in range(40):  # farther rows on both sides
+        t = 4.0 + k / 4.0
+        ids += [(20 + k, 0), (20 + k, 1)]
+        rows += [t * q, -t * q]
+    data = Dataset(dim, [i[0] for i in ids], [i[1] for i in ids],
+                   np.asarray(rows, dtype=np.float32))
+    index = build_index(dim, 20, 1, seed=600 + seed)
+    index.insert_dataset(data)
+    assert _hit_sum(index, data, q) >= DENSE_HIT_FRACTION * len(index)
+    union = {r.key() for r in index.candidates(q)}
+    assert union.isdisjoint(tied_out + [(0, 0)])
+    assert set(tied_in) <= union
+
+    record, dist = index.ann_search(q)
+    assert record.key() == (2, 7)
+    assert dist == float(np.sqrt(np.sum((2.0 * q) ** 2)))
+    want = _union_nn(index, q)
+    assert (record.key(), dist) == (want[0].key(), want[1])
+    assert rescored[-1] < index.candidate_count(q)  # the dense branch ran
+
+
+def test_dense_exact_far_from_the_origin(rescored):
+    # rows ~1e4 from the origin with O(1) spread: the norm expansion's
+    # scores err by ~1e-8 there, while each query sits between a pair of
+    # rows whose squared distances differ by at most 1e-9, so only a sound
+    # margin keeps the kernel's nearest on the shortlist
+    rng = np.random.Generator(np.random.PCG64(700))
+    dim, num_queries = 8, 60
+    base = np.full(dim, 1e4 / math.sqrt(dim))
+    first = (base + rng.standard_normal((num_queries, dim))).astype(np.float32)
+    second = (first + 0.05 * rng.standard_normal((num_queries, dim))).astype(
+        np.float32)
+    gap = first.astype(np.float64) - second
+    gap_sq = np.einsum("ij,ij->i", gap, gap)[:, None]
+    side = 0.02 * rng.standard_normal((num_queries, dim))
+    side -= gap * np.einsum("ij,ij->i", side, gap)[:, None] / gap_sq
+    # |first - q|^2 - |second - q|^2 = -2 t |gap|^2 for q = mid + side + t gap
+    lean = rng.uniform(-1e-9, 1e-9, (num_queries, 1)) / (2.0 * gap_sq)
+    queries = (first.astype(np.float64) + second) / 2.0 + side + lean * gap
+    filler = (base + 3.0 * rng.standard_normal((400, dim))).astype(np.float32)
+    ids = rng.permutation(2 * num_queries + 400)
+    data = Dataset(dim, ids // 1000, ids % 1000,
+                   np.concatenate([first, second, filler]))
+    index = build_index(dim, 20, 1, seed=701)
+    index.insert_dataset(data)
+    for i, q in enumerate(queries):
+        assert _hit_sum(index, data, q) >= DENSE_HIT_FRACTION * len(index)
+        record, dist = index.ann_search(q)
+        assert rescored[-1] < index.candidate_count(q)
+        want = _union_nn(index, q)
+        assert (record.key(), dist) == (want[0].key(), want[1])
+        pair = {(r // 1000, r % 1000) for r in ids[[i, num_queries + i]]}
+        assert record.key() in pair
+
+
+def test_dense_branch_falls_back_when_scores_overflow():
+    # finite but huge inputs: m.v overflows to +inf and -inf within one
+    # row, so the scores hold NaN and the union is gathered instead
+    rows = np.zeros((3, 4), dtype=np.float32)
+    rows[:, :2] = [[1e10, 1e10], [2e10, 1e10], [3e10, 3e10]]
+    data = Dataset(4, [0, 1, 2], [0, 0, 0], rows)
+    index = build_index(4, 3, 0, seed=5)
+    index.insert_dataset(data)
+    q = np.array([1e300, -1e300, 0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        record, dist = index.ann_search(q)
+        want = _union_nn(index, q)
+    assert (record.key(), dist) == (want[0].key(), want[1]) == ((0, 0), math.inf)
+
+
+def test_dense_results_survive_copy_load_and_inserts(tmp_path):
+    # 1,500 rows cross the store's first capacity step
+    data = _dataset(101, 1500, 6, scale=2.0)
+    queries = np.random.Generator(np.random.PCG64(103)).standard_normal(
+        (150, 6)) * 2.0
+
+    def built(rows):
+        index = build_index(6, 20, 1, seed=102)
+        index.insert_dataset(data.subset(rows))
+        return index
+
+    full = built(range(1500))
+    one_by_one = build_index(6, 20, 1, seed=102)
+    for i in range(len(data)):
+        one_by_one.insert(data.record(i))
+    path = tmp_path / "dense.idx"
+    save_index(full, path)
+    loaded = load_index(path, data)
+
+    def results(index):
+        out = []
+        for q in queries:
+            record, dist = index.ann_search(q)
+            out.append((record.key(), dist))
+        return out
+
+    assert all(_hit_sum(full, data, q) >= DENSE_HIT_FRACTION * len(full)
+               for q in queries[:10])
+    want = results(full)
+    assert want == [(r.key(), d) for r, d in map(partial(_union_nn, full),
+                                                queries)]
+    # a copy and its original fill the same store slots with different rows
+    first = built(range(700))
+    second = first.copy()
+    second.insert_dataset(data.subset(range(700, 1000)))
+    first.insert_dataset(data.subset(range(1000, 1300)))
+    assert results(first) == results(built([*range(700), *range(1000, 1300)]))
+    assert results(second) == results(built(range(1000)))
+    second.insert_dataset(data.subset(range(1000, 1500)))  # grows the store
+    for other in (second, one_by_one, loaded):
+        assert results(other) == want
+
+
 # -- contracts: concurrency, parsing, atomicity, lifetime ---------------------
 
-def test_concurrent_queries_match_serial():
+@pytest.mark.parametrize("hash_bits", [0, 6], ids=["dense", "gather"])
+def test_concurrent_queries_match_serial(hash_bits):
+    # K=0 sends every query down the dense branch; L=2, K=6 hits ~3% of the
+    # records per query and gathers its union
     data = _dataset(61, 600, 8, scale=3.0)
-    index = build_index(8, 2, 0, seed=62)  # every query scans all records
+    index = build_index(8, 2, hash_bits, seed=62)
     index.insert_dataset(data)
     queries = np.random.Generator(np.random.PCG64(63)).standard_normal(
         (1000, 8)) * 3.0
-    want = [exact_nn(data, q) for q in queries]
+    want = [_union_nn(index, q) for q in queries]
     wrong, errors = [], []
 
     def worker():
         try:
-            for q, (record, dist) in zip(queries, want):
+            for q, expected in zip(queries, want):
                 got = index.ann_search(q)
-                if got[0].key() != record.key() or got[1] != dist:
+                if (got is None) != (expected is None) or got is not None and (
+                        got[0].key() != expected[0].key()
+                        or got[1] != expected[1]):
                     wrong.append(got)
         except Exception as e:  # collected and asserted on below
             errors.append(e)
 
-    threads = [threading.Thread(target=worker) for _ in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=120)
-        assert not t.is_alive()
+    threads = [threading.Thread(target=worker) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-query too
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
     assert errors == []
     assert len(wrong) == 0
+    if hash_bits == 0:
+        assert want == [exact_nn(data, q) for q in queries]
 
 
 def test_every_truncated_snapshot_raises_parse_error(tmp_path):
@@ -560,24 +748,31 @@ def test_every_truncated_snapshot_raises_parse_error(tmp_path):
 
 def test_failed_insert_leaves_index_unchanged(tmp_path, monkeypatch):
     data = _dataset(81, 60, 4)
-    index = build_index(4, 3, 3, seed=82)
-    index.insert_dataset(data.subset(range(40)))
-    q = data.matrix[45]
-    before = (len(index), index.candidates(q), _snapshot(index, tmp_path))
+    queries = data.matrix[30:60]
 
     def broken(self, rows):
         raise RuntimeError("hashing failed")
 
-    monkeypatch.setattr(LshIndex, "keys", broken)
-    with pytest.raises(RuntimeError):
-        index.insert_dataset(data.subset(range(40, 60)))
-    with pytest.raises(RuntimeError):
-        index.insert(data.record(50))
-    monkeypatch.undo()
-    assert (len(index), index.candidates(q),
-            _snapshot(index, tmp_path)) == before
-    index.insert_dataset(data.subset(range(40, 60)))  # the retry succeeds
-    assert len(index) == 60
+    for hash_bits in (3, 0):  # K=0 queries take the dense branch
+        index = build_index(4, 3, hash_bits, seed=82)
+        index.insert_dataset(data.subset(range(40)))
+
+        def state():
+            found = [index.ann_search(q) for q in queries]
+            return (len(index), index.candidates(queries[15]),
+                    _snapshot(index, tmp_path),
+                    [(r.key(), d) for r, d in filter(None, found)])
+
+        before = state()
+        monkeypatch.setattr(LshIndex, "keys", broken)
+        with pytest.raises(RuntimeError):
+            index.insert_dataset(data.subset(range(40, 60)))
+        with pytest.raises(RuntimeError):
+            index.insert(data.record(50))
+        monkeypatch.undo()
+        assert state() == before
+        index.insert_dataset(data.subset(range(40, 60)))  # the retry succeeds
+        assert len(index) == 60
 
 
 def test_dropped_index_is_freed_without_the_cycle_collector():
