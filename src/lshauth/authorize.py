@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .data import Dataset, FingerprintRecord, TransmitterRegistry, TxStatus
-from .errors import ValidationError
+from .errors import LshAuthError, ValidationError
 from .lsh import LshIndex
 
 DEFAULT_LATENCY_WARMUP = 100
@@ -84,7 +84,7 @@ def authorize(index: LshIndex, registry: TransmitterRegistry,
     return decide_from_neighbor(registry, index.ann_search(query))
 
 
-class BatchQueryError(Exception):
+class BatchQueryError(LshAuthError):
     """Wraps a failure on one query of a batch with its position."""
 
     def __init__(self, query_idx: int, cause: Exception):

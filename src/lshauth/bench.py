@@ -52,7 +52,7 @@ from .data import (Dataset, SplitResult, SyntheticSpec, TransmitterRegistry,
                    TxStatus, concat_datasets, generate_synthetic,
                    split_dataset)
 from .dimreduce import Projector, fit_pca, project
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .lsh import LshIndex, build_index
 
 SCHEMES = ("lsh", "lsh_small", "lsh_dimred", "lsh_dimred_small")
@@ -101,7 +101,6 @@ class ExperimentConfig:
     scheme: str = "lsh"
     small_db_per_class: int = 30
     dimred_out: int = 0  # 0 means dim // 4
-    latency_warmup: int = DEFAULT_LATENCY_WARMUP
 
     def validate(self) -> None:
         if self.scheme not in SCHEMES:
@@ -122,8 +121,6 @@ class ExperimentConfig:
             raise ValidationError("add_counts entries must be >= 0")
         if self.dimred_out < 0 or self.dimred_out > self.dim:
             raise ValidationError("dimred_out must be in [0, dim]")
-        if self.latency_warmup < 0:
-            raise ValidationError("latency_warmup must be >= 0")
 
     @property
     def uses_small_db(self) -> bool:
@@ -136,6 +133,10 @@ class ExperimentConfig:
     @property
     def effective_dimred_out(self) -> int:
         return self.dimred_out if self.dimred_out else max(1, self.dim // 4)
+
+
+# every experiment setting, config key and sweep flag, with its default
+SETTING_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 @dataclass
@@ -382,8 +383,7 @@ def apply_addition(state: InitialState, count: int) -> AdditionEval:
              for t in queries.tx_ids.tolist()]
 
     metrics = compute_metrics(decisions, truth)
-    mean_ns, median_ns, p95_ns = latency_summary(latencies,
-                                                 config.latency_warmup)
+    mean_ns, median_ns, p95_ns = latency_summary(latencies)
     stats = index.bucket_stats()
     metrics.mean_latency_ns = mean_ns
     metrics.median_latency_ns = median_ns
@@ -468,41 +468,40 @@ def write_csv(rows: Sequence[dict], columns: Sequence[str], path) -> None:
             fh.write(",".join(fmt(row[c]) for c in columns) + "\n")
 
 
-def parse_config_file(path) -> dict[str, str]:
-    """Read `key = value` lines; '#' starts a comment, blanks are skipped."""
-    values: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ValidationError(
-                    f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
-            key, _, value = stripped.partition("=")
-            values[key.strip()] = value.strip()
+def parse_setting(name: str, text: str):
+    """One ExperimentConfig setting from text, typed by the field's default:
+    int, float or str, and a comma list of ints for tuples."""
+    default = SETTING_DEFAULTS[name]
+    try:
+        if isinstance(default, tuple):
+            return tuple(int(p) for p in text.split(",") if p.strip())
+        value = type(default)(text.strip())
+    except ValueError:
+        kind = "int list" if isinstance(default, tuple) \
+            else type(default).__name__
+        raise ValidationError(f"{name} takes {kind}, got {text!r}") from None
+    if name == "scheme" and value not in SCHEMES:
+        raise ValidationError(f"scheme must be one of {SCHEMES}, got {value!r}")
+    return value
+
+
+def parse_config_file(path) -> dict:
+    """Typed settings from `key = value` lines, keyed by ExperimentConfig
+    field; '#' starts a comment, blanks are skipped, a later line wins."""
+    values = {}
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode().split("#", 1)[0].strip()
+                if not line:
+                    continue
+                key, eq, text = (part.strip() for part in line.partition("="))
+                if not eq:
+                    raise ValidationError(
+                        f"expected 'key = value', got {line!r}")
+                if key not in SETTING_DEFAULTS:
+                    raise ValidationError(f"unknown config key {key!r}")
+                values[key] = parse_setting(key, text)
+            except (UnicodeDecodeError, ValidationError) as e:
+                raise ParseError(path, str(e), line=lineno) from None
     return values
-
-
-def config_from_mapping(values: dict[str, str],
-                        base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Coerce string values onto ExperimentConfig fields by declared type."""
-    base = base or ExperimentConfig()
-    known = {f.name: f for f in fields(ExperimentConfig)}
-    updates = {}
-    for key, raw in values.items():
-        if key not in known:
-            raise ValidationError(f"unknown config key {key!r}")
-        current = getattr(base, key)
-        if isinstance(current, bool):  # none today; guard against surprises
-            updates[key] = raw.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            updates[key] = int(raw)
-        elif isinstance(current, float):
-            updates[key] = float(raw)
-        elif isinstance(current, tuple):
-            parts = [p for p in raw.split(",") if p.strip()]
-            updates[key] = tuple(int(p) for p in parts)
-        else:
-            updates[key] = raw
-    return replace(base, **updates)

@@ -3,9 +3,9 @@
 Subcommands cover the full workflow: generate or split datasets, build an
 index snapshot, run single-shot authorization over query files, enroll and
 revoke transmitters, run the two benchmark sweeps, and inspect bucket
-occupancy. Experiment flags mirror ExperimentConfig; a plain-text config
-file with one `key = value` per line may supply any of them, with explicit
-flags taking precedence.
+occupancy. The sweep flags are generated from ExperimentConfig's fields; a
+plain-text config file with one `key = value` per line may supply any of
+them, with explicit flags taking precedence.
 
 Decision output is CSV with one row per query:
     query_idx,verdict,reason,nn_tx,nn_sample,distance,latency_ns
@@ -15,11 +15,13 @@ The nn_* and distance fields are empty when no neighbor exists.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import bench
 from .authorize import authorize_batch, enroll, revoke
-from .bench import ExperimentConfig, config_from_mapping, parse_config_file
+from .bench import (SETTING_DEFAULTS, ExperimentConfig, parse_config_file,
+                    parse_setting)
 from .data import (SyntheticSpec, TransmitterRegistry, TxStatus,
                    concat_datasets, generate_synthetic, split_dataset)
 from .dimreduce import load_projector, project
@@ -28,20 +30,20 @@ from .formats import load_dataset, load_registry, save_dataset, save_registry
 from .lsh import build_index, load_index, save_index
 
 DECISION_COLUMNS = "query_idx,verdict,reason,nn_tx,nn_sample,distance,latency_ns"
+_ID_RANGE = re.compile(r"\s*(\d+)\s*(?:-\s*(\d+)\s*)?")
 
 
 def parse_id_set(text: str) -> list[int]:
     """Parse '1,4,7-10' into a sorted id list."""
     ids: set[int] = set()
     for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
+        if not chunk.strip():
             continue
-        if "-" in chunk:
-            lo, _, hi = chunk.partition("-")
-            ids.update(range(int(lo), int(hi) + 1))
-        else:
-            ids.add(int(chunk))
+        m = _ID_RANGE.fullmatch(chunk)
+        if m is None or int(m[2] or m[1]) < int(m[1]):
+            raise ValidationError(
+                f"bad id range {chunk.strip()!r} in id set {text!r}")
+        ids.update(range(int(m[1]), int(m[2] or m[1]) + 1))
     return sorted(ids)
 
 
@@ -83,59 +85,35 @@ def _add_registry_args(sub) -> None:
     sub.add_argument("--revoked", help="id set")
 
 
-_CONFIG_FLAGS = {
-    # flag dest -> ExperimentConfig field
-    "seed": "seed",
-    "dim": "dim",
-    "num_authorized": "num_authorized",
-    "num_known_outliers": "num_known_outliers",
-    "num_outliers": "num_outliers",
-    "samples_per_tx": "samples_per_tx",
-    "cluster_radius": "cluster_radius",
-    "noise_sigma": "noise_sigma",
-    "l_tables": "num_tables",
-    "hash_bits": "hash_bits",
-    "add_counts": "add_counts",
-    "grid_l": "grid_tables",
-    "grid_k": "grid_bits",
-    "scheme": "scheme",
-    "small_per_class": "small_db_per_class",
-    "dimred_out": "dimred_out",
-    "latency_warmup": "latency_warmup",
-}
+# sweep flags whose spelling is not their ExperimentConfig field's
+_FLAG_SPELLINGS = {"num_tables": "l-tables", "grid_tables": "grid-l",
+                   "grid_bits": "grid-k", "small_db_per_class": "small-per-class"}
+
+
+def _setting_type(name: str):
+    def parse(text: str):
+        try:
+            return parse_setting(name, text)
+        except ValidationError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return parse
 
 
 def _add_experiment_flags(sub) -> None:
     sub.add_argument("--config", help="key = value config file; flags override")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--dim", type=int)
-    sub.add_argument("--num-authorized", type=int)
-    sub.add_argument("--num-known-outliers", type=int)
-    sub.add_argument("--num-outliers", type=int)
-    sub.add_argument("--samples-per-tx", type=int)
-    sub.add_argument("--cluster-radius", type=float)
-    sub.add_argument("--noise-sigma", type=float)
-    sub.add_argument("--l-tables", type=int)
-    sub.add_argument("--hash-bits", type=int)
-    sub.add_argument("--add-counts", help="comma list, e.g. 5,10,15,20")
-    sub.add_argument("--grid-l", help="comma list of table counts")
-    sub.add_argument("--grid-k", help="comma list of hash sizes")
-    sub.add_argument("--scheme", choices=bench.SCHEMES)
-    sub.add_argument("--small-per-class", type=int)
-    sub.add_argument("--dimred-out", type=int)
-    sub.add_argument("--latency-warmup", type=int)
+    for name, default in SETTING_DEFAULTS.items():
+        if isinstance(default, tuple):
+            default = ",".join(map(str, default))
+        flag = _FLAG_SPELLINGS.get(name, name.replace("_", "-"))
+        sub.add_argument(f"--{flag}", dest=name, type=_setting_type(name),
+                         help=f"config key {name}, default {default}")
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    config = ExperimentConfig()
-    if args.config:
-        config = config_from_mapping(parse_config_file(args.config), config)
-    overrides: dict[str, str] = {}
-    for dest, field_name in _CONFIG_FLAGS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            overrides[field_name] = str(value)
-    return config_from_mapping(overrides, config)
+    settings = parse_config_file(args.config) if args.config else {}
+    settings.update((name, getattr(args, name)) for name in SETTING_DEFAULTS
+                    if getattr(args, name) is not None)
+    return ExperimentConfig(**settings)
 
 
 def _cmd_generate(args) -> int:

@@ -192,10 +192,8 @@ class Dataset:
                        self._matrix[idx])
 
     def filter_tx(self, tx_ids: Iterable[int]) -> "Dataset":
-        wanted = set(int(t) for t in tx_ids)
-        mask = np.fromiter((int(t) in wanted for t in self._tx_ids),
-                           dtype=bool, count=len(self))
-        return self.subset(np.flatnonzero(mask))
+        wanted = np.fromiter(tx_ids, dtype=np.int64)
+        return self.subset(np.flatnonzero(np.isin(self._tx_ids, wanted)))
 
     def __repr__(self) -> str:
         return f"Dataset(dim={self.dim}, n={len(self)})"
@@ -250,9 +248,6 @@ class TransmitterRegistry:
 
     def is_registered(self, tx_id: int) -> bool:
         return int(tx_id) in self._status
-
-    def ids_with_status(self, status: TxStatus) -> set[int]:
-        return {t for t, s in self._status.items() if s is status}
 
     def statuses(self) -> dict[int, TxStatus]:
         return dict(self._status)

@@ -22,6 +22,8 @@ class DuplicateRecordError(LshAuthError, ValueError):
 class NotRegisteredError(LshAuthError, KeyError):
     """A transmitter id has no status in the registry."""
 
+    __str__ = Exception.__str__  # KeyError's would quote the message
+
 
 class ParseError(LshAuthError, ValueError):
     """A file could not be parsed.

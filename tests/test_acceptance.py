@@ -175,7 +175,7 @@ def test_c06_revocation_invariance(tmp_path):
     config = ExperimentConfig(seed=21, dim=16, num_authorized=3,
                               num_known_outliers=2, num_outliers=4,
                               samples_per_tx=30, num_tables=4, hash_bits=2,
-                              add_counts=(2,), latency_warmup=0)
+                              add_counts=(2,))
     state = build_initial_state(config)
     ev = apply_addition(state, 2)
     revoked = {state.authorized_ids[0], ev.added_ids[0]}
@@ -305,7 +305,7 @@ def test_c10_determinism_and_formats(tmp_path):
     config = ExperimentConfig(seed=13, dim=8, num_authorized=2,
                               num_known_outliers=2, num_outliers=3,
                               samples_per_tx=12, num_tables=3, hash_bits=1,
-                              add_counts=(0, 2), latency_warmup=0)
+                              add_counts=(0, 2))
     first = run_add_auth_sweep(config)
     second = run_add_auth_sweep(config)
     timing = set(bench.ADD_SWEEP_TIMING_COLUMNS)

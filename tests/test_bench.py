@@ -1,5 +1,7 @@
 """Metrics, timing helpers, experiment sweeps and config plumbing."""
 
+from dataclasses import replace
+
 import pytest
 
 from lshauth import bench
@@ -7,12 +9,12 @@ from lshauth.authorize import (AuthDecision, Evidence, Reason, Verdict,
                                authorize_batch)
 from lshauth.bench import (ExperimentConfig, apply_addition,
                            build_initial_state, cap_per_class,
-                           compute_metrics, config_from_mapping,
-                           latency_summary, parse_config_file,
+                           compute_metrics, latency_summary,
+                           parse_config_file, parse_setting,
                            run_add_auth_sweep, run_grid_sweep, time_block,
                            write_csv)
 from lshauth.data import SyntheticSpec, generate_synthetic
-from lshauth.errors import ValidationError
+from lshauth.errors import ParseError, ValidationError
 from lshauth.lsh import build_index
 from lshauth.oracle import oracle_authorize
 
@@ -26,8 +28,7 @@ def _decision(reject: bool) -> AuthDecision:
 
 TINY = ExperimentConfig(seed=5, dim=8, num_authorized=2, num_known_outliers=2,
                         num_outliers=3, samples_per_tx=12, num_tables=3,
-                        hash_bits=1, add_counts=(0, 2), small_db_per_class=5,
-                        latency_warmup=0)
+                        hash_bits=1, add_counts=(0, 2), small_db_per_class=5)
 
 
 def test_metrics_all_correct():
@@ -146,7 +147,7 @@ def test_grid_factorial_count():
                               num_known_outliers=1, num_outliers=2,
                               samples_per_tx=8, add_counts=(1,),
                               grid_tables=(1, 2, 3, 4, 5),
-                              grid_bits=(1, 2, 3, 4, 5), latency_warmup=0)
+                              grid_bits=(1, 2, 3, 4, 5))
     rows = run_grid_sweep(config)
     assert len(rows) == 25
     assert {(r["L"], r["K"]) for r in rows} \
@@ -157,7 +158,7 @@ def test_grid_k0_matches_oracle():
     config = ExperimentConfig(seed=6, dim=8, num_authorized=2,
                               num_known_outliers=2, num_outliers=3,
                               samples_per_tx=10, num_tables=2, hash_bits=0,
-                              add_counts=(1,), latency_warmup=0)
+                              add_counts=(1,))
     state = build_initial_state(config)
     ev = apply_addition(state, 1)
     data = ev.index.indexed_dataset()
@@ -170,10 +171,8 @@ def test_grid_cell_reproducible_standalone():
     config = ExperimentConfig(seed=7, dim=6, num_authorized=2,
                               num_known_outliers=2, num_outliers=3,
                               samples_per_tx=10, add_counts=(1,),
-                              grid_tables=(1, 2), grid_bits=(1, 2),
-                              latency_warmup=0)
+                              grid_tables=(1, 2), grid_bits=(1, 2))
     grid = run_grid_sweep(config)
-    from dataclasses import replace
     solo = run_grid_sweep(replace(config, grid_tables=(2,), grid_bits=(2,)))
     row = next(r for r in grid if r["L"] == 2 and r["K"] == 2)
     for column in bench.GRID_COLUMNS:
@@ -185,8 +184,7 @@ def test_small_scheme_caps_database():
     config = ExperimentConfig(seed=8, dim=8, num_authorized=2,
                               num_known_outliers=2, num_outliers=3,
                               samples_per_tx=12, scheme="lsh_small",
-                              small_db_per_class=4, add_counts=(1,),
-                              latency_warmup=0)
+                              small_db_per_class=4, add_counts=(1,))
     state = build_initial_state(config)
     counts: dict[int, int] = {}
     for record in state.indexed_dataset:
@@ -202,8 +200,7 @@ def test_dimred_scheme_projects_database():
     config = ExperimentConfig(seed=9, dim=16, num_authorized=2,
                               num_known_outliers=2, num_outliers=3,
                               samples_per_tx=12, scheme="lsh_dimred",
-                              dimred_out=4, add_counts=(1,),
-                              latency_warmup=0)
+                              dimred_out=4, add_counts=(1,))
     state = build_initial_state(config)
     assert state.projector is not None
     assert state.projector.kind == "pca"
@@ -233,22 +230,57 @@ def test_config_file_parsing(tmp_path):
         "scheme = lsh_small\n"
         "noise_sigma = 0.5\n"
     )
-    config = config_from_mapping(parse_config_file(path))
+    config = ExperimentConfig(**parse_config_file(path))
     assert config.seed == 42
     assert config.dim == 16
     assert config.add_counts == (1, 2, 3)
     assert config.scheme == "lsh_small"
     assert config.noise_sigma == 0.5
     # explicit overrides win
-    config = config_from_mapping({"dim": "8"}, config)
+    config = replace(config, dim=parse_setting("dim", "8"))
     assert config.dim == 8 and config.seed == 42
 
 
 def test_config_file_unknown_key(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("bogus = 1\n")
-    with pytest.raises(ValidationError, match="bogus"):
-        config_from_mapping(parse_config_file(path))
+    with pytest.raises(ParseError, match="bogus") as info:
+        parse_config_file(path)
+    assert info.value.line == 1
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("dim = abc", "dim takes int"),
+    ("noise_sigma = loud", "noise_sigma takes float"),
+    ("add_counts = 1,x", "add_counts takes int list"),
+    ("scheme = nope", "scheme must be one of"),
+    ("dim 8", "expected 'key = value'"),
+    ("uses_small_db = 1", "unknown config key"),  # a property, not a setting
+])
+def test_config_file_bad_line_names_its_line(tmp_path, bad_line, message):
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"# header\nseed = 1\n{bad_line}\n")
+    with pytest.raises(ParseError, match=message) as info:
+        parse_config_file(path)
+    assert info.value.line == 3
+    assert str(info.value).startswith(f"{path}:3: ")
+
+
+def test_config_file_that_is_not_text_names_its_line(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"seed = 1\n\xff = 2\n")
+    with pytest.raises(ParseError) as info:
+        parse_config_file(path)
+    assert info.value.line == 2
+
+
+def test_parse_setting_types_follow_defaults():
+    assert parse_setting("seed", " 7 ") == 7
+    assert parse_setting("cluster_radius", "2.5") == 2.5
+    assert parse_setting("grid_bits", "1, 2,") == (1, 2)
+    assert parse_setting("scheme", "lsh_dimred") == "lsh_dimred"
+    with pytest.raises(ValidationError, match="seed"):
+        parse_setting("seed", "1.5")
 
 
 def test_write_csv(tmp_path):

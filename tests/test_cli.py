@@ -1,14 +1,25 @@
 """End-to-end checks of the command-line workflow."""
 
+from dataclasses import replace
+
+import pytest
+
+from lshauth import cli
+from lshauth.bench import ExperimentConfig
 from lshauth.cli import main, parse_id_set
 from lshauth.data import TxStatus
-from lshauth.formats import load_dataset, load_registry
+from lshauth.errors import ValidationError
+from lshauth.formats import load_dataset, load_registry, save_dataset
 
 
 def test_parse_id_set():
     assert parse_id_set("1,4,7-10") == [1, 4, 7, 8, 9, 10]
     assert parse_id_set("3") == [3]
     assert parse_id_set("2-2,0") == [0, 2]
+    assert parse_id_set(" 5 - 6 ,, 1") == [1, 5, 6]
+    for bad in ("0-x", "5-", "-3", "9-3", "x", "1-2-3"):
+        with pytest.raises(ValidationError, match="bad id range"):
+            parse_id_set(bad)
 
 
 def _generate(tmp_path, name="data.bin", num_tx=6, samples=20, dim=8, seed=3):
@@ -182,8 +193,7 @@ def test_bench_add_cli(tmp_path):
     config = tmp_path / "exp.cfg"
     config.write_text(
         "dim = 8\nnum_authorized = 2\nnum_known_outliers = 2\n"
-        "num_outliers = 3\nsamples_per_tx = 10\nadd_counts = 0,2\n"
-        "latency_warmup = 0\n")
+        "num_outliers = 3\nsamples_per_tx = 10\nadd_counts = 0,2\n")
     out = tmp_path / "report.csv"
     assert main(["bench-add", "--config", str(config), "--seed", "3",
                  "--l-tables", "2", "--out", str(out)]) == 0
@@ -200,7 +210,7 @@ def test_bench_grid_cli(tmp_path):
                  "--num-authorized", "2", "--num-known-outliers", "2",
                  "--num-outliers", "3", "--samples-per-tx", "10",
                  "--add-counts", "1", "--grid-l", "1,2", "--grid-k", "0,2",
-                 "--latency-warmup", "0", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "L,K,accuracy,precision,recall,mean_latency_ns,mean_candidates"
     assert len(lines) == 5
@@ -231,3 +241,103 @@ def test_cli_error_exit_code_on_bad_format(tmp_path, capsys):
     out = tmp_path / "x.idx"
     assert main(["build", "--data", str(bad), "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _experiment_config(*argv):
+    args = cli.build_parser().parse_args(["bench-grid", *argv, "--out", "x"])
+    return cli._experiment_config(args)
+
+
+def test_every_sweep_flag_sets_its_setting():
+    assert _experiment_config() == ExperimentConfig()
+    config = _experiment_config(
+        "--seed", "1", "--dim", "9", "--num-authorized", "2",
+        "--num-known-outliers", "3", "--num-outliers", "4",
+        "--samples-per-tx", "5", "--cluster-radius", "6.5",
+        "--noise-sigma", "0.5", "--l-tables", "7", "--hash-bits", "8",
+        "--add-counts", "1,2", "--grid-l", "3", "--grid-k", "4,5",
+        "--scheme", "lsh_dimred", "--small-per-class", "6",
+        "--dimred-out", "3")
+    assert config == ExperimentConfig(
+        seed=1, dim=9, num_authorized=2, num_known_outliers=3,
+        num_outliers=4, samples_per_tx=5, cluster_radius=6.5,
+        noise_sigma=0.5, num_tables=7, hash_bits=8, add_counts=(1, 2),
+        grid_tables=(3,), grid_bits=(4, 5), scheme="lsh_dimred",
+        small_db_per_class=6, dimred_out=3)
+
+
+@pytest.mark.parametrize("flag, key, text, other, value", [
+    ("--l-tables", "num_tables", "7", "3", 7),
+    ("--grid-k", "grid_bits", "3,4", "9", (3, 4)),
+    ("--small-per-class", "small_db_per_class", "9", "4", 9),
+    ("--noise-sigma", "noise_sigma", "0.25", "2", 0.25),
+    ("--scheme", "scheme", "lsh_small", "lsh_dimred", "lsh_small"),
+])
+def test_setting_by_file_flag_or_both(tmp_path, flag, key, text, other, value):
+    by_file = tmp_path / "value.cfg"
+    by_file.write_text(f"{key} = {text}\n")
+    overridden = tmp_path / "other.cfg"
+    overridden.write_text(f"{key} = {other}\nseed = 4\n")
+    expected = replace(ExperimentConfig(), **{key: value})
+    assert _experiment_config("--config", str(by_file)) == expected
+    assert _experiment_config(flag, text) == expected
+    assert _experiment_config("--config", str(overridden), flag, text) \
+        == replace(expected, seed=4)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--dim", "abc"], "argument --dim: dim takes int, got 'abc'"),
+    (["--grid-l", "1,x"], "argument --grid-l: grid_tables takes int list"),
+    (["--scheme", "nope"], "argument --scheme: scheme must be one of"),
+])
+def test_bad_sweep_flag_is_a_usage_error(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(["bench-add", *argv, "--out", str(tmp_path / "r.csv")])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_bad_config_file_reports_its_line(tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text("seed = 1\ndim = abc\n")
+    code = main(["bench-add", "--config", str(config),
+                 "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert f"error: {config}:2: dim takes int, got 'abc'" \
+        in capsys.readouterr().err
+
+
+def test_revoke_rejects_an_inverted_range(tmp_path, capsys):
+    registry = tmp_path / "registry.csv"
+    registry.write_text("tx_id,status\n3,authorized\n")
+    out = tmp_path / "out.csv"
+    assert main(["revoke", "--registry", str(registry), "--tx-ids", "9-3",
+                 "--out-registry", str(out)]) == 2
+    assert "error: bad id range '9-3'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_authorize_query_dim_mismatch_names_the_query(tmp_path, capsys):
+    data_path = _generate(tmp_path)
+    index_path = _build(tmp_path, data_path)
+    queries = _generate(tmp_path, name="q.bin", num_tx=1, samples=3, dim=4)
+    code = main(["authorize", "--index", str(index_path),
+                 "--data", str(data_path), "--queries", str(queries),
+                 "--authorized", "0-5", "--out", str(tmp_path / "d.csv")])
+    assert code == 2
+    assert "error: query 0: query dim 4 does not match index dim 8" \
+        in capsys.readouterr().err
+
+
+def test_authorize_unregistered_neighbor_names_the_query(tmp_path, capsys):
+    data_path = _generate(tmp_path)
+    index_path = _build(tmp_path, data_path)
+    queries = tmp_path / "q.bin"
+    data = load_dataset(data_path)
+    save_dataset(data.subset([0, 40]), queries)  # tx 0, then tx 2
+    code = main(["authorize", "--index", str(index_path),
+                 "--data", str(data_path), "--queries", str(queries),
+                 "--authorized", "0,1", "--out", str(tmp_path / "d.csv")])
+    assert code == 2
+    assert "error: query 1: transmitter 2 is not registered" \
+        in capsys.readouterr().err

@@ -40,6 +40,15 @@ def test_dataset_iteration_order_is_insertion_order():
     assert [r.tx_id for r in data] == [5, 3, 9]
 
 
+def test_filter_tx_keeps_dataset_order():
+    tx = [3, 1, 3, 2, 1, 3, 4]
+    data = Dataset(2, tx, range(len(tx)),
+                   np.arange(2 * len(tx), dtype=np.float32).reshape(-1, 2))
+    wanted = (t for t in (3, 9, 1, 2**32 - 1))  # includes absent ids
+    assert data.filter_tx(wanted) == data.subset([0, 1, 2, 4, 5])
+    assert len(data.filter_tx([])) == 0
+
+
 def test_generate_counts():
     data = generate_synthetic(SyntheticSpec(num_tx=2, samples_per_tx=3, dim=4,
                                             seed=1))
