@@ -17,6 +17,12 @@ make the open-set task unsolvable for a threshold-free nearest-neighbor
 rule: an unseen transmitter's nearest cluster would be authorized about as
 often as not, no matter how separable the clusters are).
 
+Held-out rule: one seeded split per instance sends 70% of each authorized
+and outlier transmitter's samples, and every known-outlier sample, to the
+pool. Additions enroll from the pool and query the rest: the authorized and
+added transmitters' 30% and every sample of the outliers not yet enrolled.
+No query is ever an indexed record.
+
 Every non-timing output is a pure function of the config: all randomness is
 drawn from PCG64 child seeds derived from config.seed with fixed tags, so
 two runs of the same config produce identical decisions and any grid cell
@@ -53,6 +59,7 @@ from .data import (Dataset, SplitResult, SyntheticSpec, TransmitterRegistry,
                    split_dataset)
 from .dimreduce import Projector, fit_pca, project
 from .errors import ParseError, ValidationError
+from .formats import read_text_lines
 from .lsh import LshIndex, build_index
 
 SCHEMES = ("lsh", "lsh_small", "lsh_dimred", "lsh_dimred_small")
@@ -69,8 +76,6 @@ _TAG_DATASET = 1
 _TAG_REGION_DIRECTION = 2
 _TAG_SPLIT_INITIAL = 3
 _TAG_ADD_SHUFFLE = 4
-_TAG_SPLIT_NEW = 5
-_TAG_SPLIT_COMBINED = 6
 _TAG_INDEX = 7
 
 # synthetic region layout, in multiples of cluster_radius
@@ -239,6 +244,8 @@ class InitialState:
     known_outlier_ids: list[int]
     outlier_ids: list[int]
     registry: TransmitterRegistry
+    # the instance's one split: the pool holds 70% of each authorized and
+    # outlier transmitter and every known-outlier sample, test the rest
     split: SplitResult
     projector: Optional[Projector]
     index: LshIndex
@@ -298,10 +305,12 @@ def build_initial_state(config: ExperimentConfig) -> InitialState:
     config.validate()
     data, a_ids, k_ids, o_ids = build_instance_dataset(config)
 
+    split = split_dataset(data, TransmitterRegistry(), a_ids + o_ids, k_ids,
+                          [], seed=child_seed(config.seed, _TAG_SPLIT_INITIAL))
     registry = TransmitterRegistry()
-    split = split_dataset(data, registry, a_ids, k_ids, o_ids,
-                          seed=child_seed(config.seed, _TAG_SPLIT_INITIAL))
-    pool = split.combined_train_val
+    registry.set_status(a_ids, TxStatus.AUTHORIZED)
+    registry.set_status(k_ids, TxStatus.KNOWN_OUTLIER)
+    pool = split.combined_train_val.filter_tx(a_ids + k_ids)
 
     projector = None
     if config.uses_dimred:
@@ -333,7 +342,7 @@ class AdditionEval:
     added_ids: list[int]
     index: LshIndex
     registry: TransmitterRegistry
-    queries: Dataset  # combined test split, original embedding space
+    queries: Dataset  # held-out queries, original embedding space
     ground_truth_outlier: list[bool]
     decisions: list[AuthDecision]
     latencies_ns: list[int]
@@ -343,7 +352,7 @@ class AdditionEval:
 
 def apply_addition(state: InitialState, count: int) -> AdditionEval:
     """Enroll `count` new transmitters drawn from the outlier pool and
-    evaluate on the combined test split. The initial state is not mutated."""
+    evaluate on the held-out queries. The initial state is not mutated."""
     config = state.config
     if count > len(state.outlier_ids):
         raise ValidationError(
@@ -352,17 +361,7 @@ def apply_addition(state: InitialState, count: int) -> AdditionEval:
     added = sorted(state.addition_order[:count])
     remaining_outliers = sorted(set(state.outlier_ids) - set(added))
 
-    new_split = split_dataset(
-        state.data, TransmitterRegistry(), added, state.known_outlier_ids,
-        remaining_outliers + state.authorized_ids,
-        seed=child_seed(config.seed, _TAG_SPLIT_NEW, count))
-    combined_split = split_dataset(
-        state.data, TransmitterRegistry(),
-        state.authorized_ids + added, state.known_outlier_ids,
-        remaining_outliers,
-        seed=child_seed(config.seed, _TAG_SPLIT_COMBINED, count))
-
-    batch = new_split.combined_train_val.filter_tx(added)
+    batch = state.split.combined_train_val.filter_tx(added)
     if config.uses_small_db and len(batch):
         batch = cap_per_class(batch, config.small_db_per_class)
 
@@ -375,7 +374,9 @@ def apply_addition(state: InitialState, count: int) -> AdditionEval:
     enroll(index, registry, batch, added)
     retrain_ns = time.perf_counter_ns() - t0
 
-    queries = combined_split.test
+    queries = concat_datasets([
+        state.split.test.filter_tx(state.authorized_ids + added),
+        state.data.filter_tx(remaining_outliers)])
     decisions, latencies = authorize_batch(index, registry, queries,
                                            projector=state.projector)
     truth = [not (registry.is_registered(t)
@@ -427,8 +428,8 @@ def run_grid_sweep(config: ExperimentConfig) -> list[dict]:
     """Full factorial over grid_tables x grid_bits, one row per cell.
 
     Each cell enrolls the first add_counts entry's worth of new transmitters
-    (the sweep's fixed addition size) and evaluates on the combined test
-    split; cells are mutually independent and individually reproducible.
+    (the sweep's fixed addition size) and evaluates on the held-out
+    queries; cells are mutually independent and individually reproducible.
     """
     config.validate()
     add_count = config.add_counts[0]
@@ -489,19 +490,17 @@ def parse_config_file(path) -> dict:
     """Typed settings from `key = value` lines, keyed by ExperimentConfig
     field; '#' starts a comment, blanks are skipped, a later line wins."""
     values = {}
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode().split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, eq, text = (part.strip() for part in line.partition("="))
-                if not eq:
-                    raise ValidationError(
-                        f"expected 'key = value', got {line!r}")
-                if key not in SETTING_DEFAULTS:
-                    raise ValidationError(f"unknown config key {key!r}")
-                values[key] = parse_setting(key, text)
-            except (UnicodeDecodeError, ValidationError) as e:
-                raise ParseError(path, str(e), line=lineno) from None
+    for lineno, line in enumerate(read_text_lines(path), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, text = (part.strip() for part in line.partition("="))
+        try:
+            if not eq:
+                raise ValidationError(f"expected 'key = value', got {line!r}")
+            if key not in SETTING_DEFAULTS:
+                raise ValidationError(f"unknown config key {key!r}")
+            values[key] = parse_setting(key, text)
+        except ValidationError as e:
+            raise ParseError(path, str(e), line=lineno) from None
     return values

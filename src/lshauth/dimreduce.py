@@ -176,4 +176,7 @@ def load_projector(path) -> Projector:
                            offset=off).reshape(out_dim, in_dim).copy()
     mean.flags.writeable = False
     matrix.flags.writeable = False
-    return Projector(kind=kind, matrix=matrix, mean=mean)
+    try:
+        return Projector(kind=kind, matrix=matrix, mean=mean)
+    except ValidationError as e:
+        raise ParseError(path, str(e), offset=8) from None

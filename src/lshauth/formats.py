@@ -115,9 +115,22 @@ def _save_csv(data: Dataset, path) -> None:
             fh.write(f"{int(data.tx_ids[i])},{int(data.sample_ids[i])},{comps}\n")
 
 
+def read_text_lines(path) -> list[str]:
+    """A text file's lines, line endings removed. Each line is decoded as
+    UTF-8 on its own, so a line that is not raises ParseError naming it."""
+    lines = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                lines.append(raw.decode().rstrip("\r\n"))
+            except UnicodeDecodeError as e:
+                raise ParseError(path, f"not UTF-8 text: {e}",
+                                 line=lineno) from None
+    return lines
+
+
 def _load_csv(path) -> Dataset:
-    with open(path, "r", newline="") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text_lines(path)
     if not lines:
         raise ParseError(path, "empty file; missing header", line=1)
     header = lines[0].split(",")
@@ -168,8 +181,7 @@ def save_registry(registry: TransmitterRegistry, path) -> None:
 
 
 def load_registry(path) -> TransmitterRegistry:
-    with open(path, "r", newline="") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text_lines(path)
     if not lines or lines[0] != "tx_id,status":
         raise ParseError(path, "registry header must be 'tx_id,status'", line=1)
     reg = TransmitterRegistry()
@@ -183,6 +195,8 @@ def load_registry(path) -> TransmitterRegistry:
             t = int(parts[0])
         except ValueError:
             raise ParseError(path, f"bad tx_id {parts[0]!r}", line=lineno) from None
+        if not 0 <= t <= 2**32 - 1:
+            raise ParseError(path, f"tx_id out of u32 range: {t}", line=lineno)
         status = _STATUS_NAMES.get(parts[1])
         if status is None:
             raise ParseError(

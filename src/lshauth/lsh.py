@@ -16,11 +16,14 @@ writes into an existing array, so copies share bucket arrays and a query
 can use one without copying it.
 
 Candidate retrieval unions the L buckets a query maps to; the exact scan is
-then restricted to that union. `ann_search` reaches that scan by one of two
+then restricted to that union. One routine builds the union, as a bool[N]
+row mask that marks every row of each hit bucket (all rows at once when a
+bucket holds every row, as at K=0); `candidates`, `candidate_count` and
+both search branches read it. `ann_search` reaches the scan by one of two
 branches, chosen per query from S, the summed sizes of the buckets it hit
-(known before any dedup):
-  - gather (S < DENSE_HIT_FRACTION * N): dedup the hit buckets into the
-    union and score every union row with the shared kernel;
+(repeats across tables counted):
+  - gather (S < DENSE_HIT_FRACTION * N): score every union row, in row
+    order, with the shared kernel;
   - dense (otherwise): score all N rows at once as |m|^2 - 2 m.v with one
     mat-vec against cached squared norms, mask the rows outside the union,
     and keep the union rows whose score is within 2E + 2.5 g k of the best
@@ -342,26 +345,17 @@ class LshIndex:
         return hits
 
     def _union(self, hits: list[np.ndarray]) -> np.ndarray:
-        """Union of the hit buckets.
-
-        Order is table index then within-bucket insertion order, first
-        occurrence kept on duplicates. The returned array is read-only and
-        may be shared internal state.
-        """
-        if not hits:
-            return _NO_ROWS
-        # a bucket holding every row (always so at K=0) is the whole union
-        if len(hits) == 1 or hits[0].size == self._n:
-            return hits[0]
-        # keep-first dedup across tables; within a table a record appears once
-        taken = np.zeros(self._n, dtype=bool)
-        parts = []
-        for arr in hits:
-            fresh = arr[~taken[arr]]
-            if fresh.size:
-                parts.append(fresh)
-                taken[arr] = True
-        return np.concatenate(parts)
+        """The hit buckets' union as a bool[N] row mask. It lives in this
+        thread's scratch, so it is valid until the thread's next query."""
+        n = self._n
+        mask = self._scratch("union", n, dtype=bool)[:n]
+        if hits and hits[0].size == n:  # one bucket holds every row, as at K=0
+            mask.fill(True)
+            return mask
+        mask.fill(False)
+        for rows in hits:
+            mask[rows] = True
+        return mask
 
     def _dense_shortlist(self, v64: np.ndarray,
                          hits: list[np.ndarray]) -> Optional[np.ndarray]:
@@ -397,12 +391,7 @@ class LshIndex:
         # scaling by -2 is exact, so this is -2 fl(m_i . v) bit for bit
         np.matmul(self._matrix[:n], -2.0 * v64, out=score)
         score += self._norms[:n]
-        if max(rows.size for rows in hits) < n:  # else the union is all rows
-            outside = self._scratch("outside", n, dtype=bool)[:n]
-            outside.fill(True)
-            for rows in hits:
-                outside[rows] = False
-            np.copyto(score, np.inf, where=outside)
+        np.copyto(score, np.inf, where=~self._union(hits))
         j = int(score.argmin())
         k_j = float(squared_distances(self._matrix[j:j + 1], v64)[0])
         g = (d + 3) * _UNIT / (1.0 - (d + 3) * _UNIT)
@@ -414,11 +403,13 @@ class LshIndex:
         return np.flatnonzero(score <= limit)
 
     def candidates(self, vector) -> list[FingerprintRecord]:
-        rows = self._union(self._hits(self._query_vector(vector)))
-        return [self._record_at(r) for r in rows]
+        """The records of the query's bucket union, in row order."""
+        union = self._union(self._hits(self._query_vector(vector)))
+        return [self._record_at(r) for r in np.flatnonzero(union)]
 
     def candidate_count(self, vector) -> int:
-        return int(self._union(self._hits(self._query_vector(vector))).size)
+        return int(np.count_nonzero(
+            self._union(self._hits(self._query_vector(vector)))))
 
     def ann_search(self, vector) -> Optional[tuple[FingerprintRecord, float]]:
         """Nearest record among the query's bucket union, or None if the
@@ -440,7 +431,7 @@ class LshIndex:
         if sum(rows.size for rows in hits) >= DENSE_HIT_FRACTION * self._n:
             pos = self._dense_shortlist(v64, hits)
         if pos is None:
-            pos = self._union(hits)
+            pos = np.flatnonzero(self._union(hits))
         sq = gathered_squared_distances(
             self._matrix, pos, v64,
             self._scratch("diff", pos.size, width=(self.dim,)),

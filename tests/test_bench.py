@@ -13,7 +13,7 @@ from lshauth.bench import (ExperimentConfig, apply_addition,
                            parse_config_file, parse_setting,
                            run_add_auth_sweep, run_grid_sweep, time_block,
                            write_csv)
-from lshauth.data import SyntheticSpec, generate_synthetic
+from lshauth.data import SyntheticSpec, generate_synthetic, split_dataset
 from lshauth.errors import ParseError, ValidationError
 from lshauth.lsh import build_index
 from lshauth.oracle import oracle_authorize
@@ -134,6 +134,39 @@ def test_add_sweep_deterministic_outputs():
         for column in bench.ADD_SWEEP_COLUMNS:
             if column not in skip:
                 assert ra[column] == rb[column]
+
+
+def test_no_sweep_query_is_an_indexed_record():
+    state = build_initial_state(ExperimentConfig(seed=0))
+    for count in (0, 5, 10, 15, 20):
+        ev = apply_addition(state, count)
+        overlap = ev.index.indexed_dataset().keys() & ev.queries.keys()
+        assert not overlap, (count, len(overlap))
+
+
+def test_enrolled_samples_split_between_index_and_queries():
+    state = build_initial_state(TINY)
+    evals = [apply_addition(state, c) for c in range(TINY.num_outliers + 1)]
+    first = evals[0].queries.filter_tx(state.authorized_ids)
+    for ev in evals:
+        indexed = ev.index.indexed_dataset()
+        for t in state.authorized_ids + ev.added_ids:
+            held_in = indexed.filter_tx([t]).keys()
+            held_out = ev.queries.filter_tx([t]).keys()
+            assert held_in.isdisjoint(held_out), (ev.n_added, t)
+            assert held_in | held_out == state.data.filter_tx([t]).keys()
+        assert ev.queries.filter_tx(state.authorized_ids) == first, ev.n_added
+
+
+def test_add_sweep_splits_the_instance_once(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return split_dataset(*args, **kwargs)
+    monkeypatch.setattr(bench, "split_dataset", spy)
+    run_add_auth_sweep(replace(TINY, add_counts=(0, 1, 2, 3)))
+    assert len(calls) == 1
 
 
 def test_addition_draw_too_large():

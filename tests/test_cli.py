@@ -317,6 +317,16 @@ def test_revoke_rejects_an_inverted_range(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_revoke_on_a_registry_that_is_not_utf8(tmp_path, capsys):
+    registry = tmp_path / "registry.csv"
+    registry.write_bytes(b"tx_id,status\n1,authorized\n\xff\n")
+    out = tmp_path / "out.csv"
+    assert main(["revoke", "--registry", str(registry), "--tx-ids", "1",
+                 "--out-registry", str(out)]) == 2
+    assert f"error: {registry}:3: not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_authorize_query_dim_mismatch_names_the_query(tmp_path, capsys):
     data_path = _generate(tmp_path)
     index_path = _build(tmp_path, data_path)

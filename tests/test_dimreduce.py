@@ -1,12 +1,15 @@
 """PCA by symmetric eigendecomposition, random projections, and projector
 snapshots."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from lshauth.data import Dataset
-from lshauth.dimreduce import (Projector, fit_pca, fit_random_projection,
-                               load_projector, project, save_projector)
+from lshauth.dimreduce import (PROJECTOR_MAGIC, Projector, fit_pca,
+                               fit_random_projection, load_projector, project,
+                               save_projector)
 from lshauth.errors import ParseError, ValidationError
 
 
@@ -234,3 +237,24 @@ def test_projector_validation():
         Projector(kind="weird", matrix=np.eye(2), mean=np.zeros(2))
     with pytest.raises(ValidationError):
         Projector(kind="random", matrix=np.ones((3, 2)), mean=np.zeros(2))
+
+
+def _projector_file(kind_code: int, mean, matrix) -> bytes:
+    return (PROJECTOR_MAGIC
+            + struct.pack("<BII", kind_code, len(mean), len(matrix))
+            + np.asarray(mean, dtype="<f8").tobytes()
+            + np.asarray(matrix, dtype="<f8").tobytes())
+
+
+@pytest.mark.parametrize("raw, message", [
+    (_projector_file(0, [], []), "out_dim"),
+    (_projector_file(0, [0.0, 0.0], [[0.5, 0.0], [0.0, 1.0]]), "orthonormal"),
+    (_projector_file(1, [0.0, np.nan], [[1.0, 0.0]]), "non-finite"),
+], ids=["zero-dims", "pca-not-orthonormal", "nan-mean"])
+def test_malformed_projector_file_is_a_parse_error(tmp_path, raw, message):
+    path = tmp_path / "bad.prj"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=message) as exc:
+        load_projector(path)
+    assert exc.value.offset == 8
+    assert str(exc.value).startswith(f"{path} (offset 8): ")

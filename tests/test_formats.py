@@ -166,3 +166,25 @@ def test_registry_rejects_unknown_status(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_registry(path)
     assert exc.value.line == 2
+
+
+def test_registry_rejects_ids_outside_u32(tmp_path):
+    path = tmp_path / "reg.csv"
+    for tx_id in (-3, 2**32, 5_000_000_000):
+        path.write_text(f"tx_id,status\n1,authorized\n{tx_id},revoked\n")
+        with pytest.raises(ParseError, match="u32") as exc:
+            load_registry(path)
+        assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("load, text", [
+    (load_registry, b"tx_id,status\n1,authorized\n\xff\n"),
+    (lambda path: load_dataset(path, "csv"),
+     b"tx_id,sample_id,f0\n1,0,2.0\n1,\xff,3.0\n"),
+], ids=["registry", "csv"])
+def test_text_file_that_is_not_utf8_names_its_line(tmp_path, load, text):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text)
+    with pytest.raises(ParseError, match="UTF-8") as exc:
+        load(path)
+    assert exc.value.line == 3

@@ -266,14 +266,14 @@ def test_ann_self_query_distance_zero():
     assert record.key() == oracle_record.key()
 
 
-def test_candidate_order_is_table_then_bucket():
-    # single record shared across tables must appear once, first table wins
+def test_candidates_are_unique_and_in_row_order():
+    # a record shared across tables appears once, at its insertion position
     index = build_index(2, 4, 1, seed=11)
     data = _dataset(3, 12, 2)
     index.insert_dataset(data)
-    cands = index.candidates(data.matrix[0])
-    keys = [c.key() for c in cands]
-    assert len(keys) == len(set(keys))
+    keys = [c.key() for c in index.candidates(data.matrix[0])]
+    assert keys == [r.key() for r in data if r.key() in set(keys)]
+    assert len(keys) == index.candidate_count(data.matrix[0])
 
 
 @settings(max_examples=20, deadline=None)
