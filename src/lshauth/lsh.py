@@ -9,27 +9,34 @@ is the only code that computes keys: inserts, queries and snapshot loads
 all go through it.
 
 Storage: one row store holds every record's vector, squared norm and ids in
-row order. Each table is a dict from key to a read-only array of row
-positions, in bucket-creation order, with each bucket's rows in insertion
-order. An insert replaces a bucket's array with a longer one and never
-writes into an existing array, so copies share bucket arrays and a query
-can use one without copying it.
+row order. When K=1 and L <= 64 it also holds one packed key word per
+row: the row's L one-bit keys as the bits of one word, table 0 in the
+high bits, which are its L sign bits in hyperplane order. The words are
+derived from `keys` whenever rows are stored (insert and load), follow the
+store through growth and `copy`, and are never saved. Each table is a dict
+from key to a read-only array of row positions, in bucket-creation order,
+with each bucket's rows in insertion order. An insert replaces a bucket's
+array with a longer one and never writes into an existing array, so copies
+share bucket arrays and a query can use one without copying it.
 
 Candidate retrieval unions the L buckets a query maps to; the exact scan is
 then restricted to that union. One routine builds the union, as a bool[N]
-row mask that marks every row of each hit bucket (all rows at once when a
-bucket holds every row, as at K=0); `candidates`, `candidate_count` and
-both search branches read it. `ann_search` reaches the scan by one of two
-branches, chosen per query from S, the summed sizes of the buckets it hit
-(repeats across tables counted):
+row mask; `candidates`, `candidate_count` and both search branches read it.
+It marks all rows at once when a bucket holds every row, as at K=0. A
+query whose hit buckets sum to S >= DENSE_HIT_FRACTION * N rows (repeats
+across tables counted) on an index that keeps packed words compares its
+own word with every row's in two vector ops (see `LshIndex._union`).
+Any other query, and every query when K > 1 or L > 64, scatters each hit
+bucket into the mask, at a cost of S rather than N. `ann_search` reaches
+the scan by one of two branches, chosen per query from S:
   - gather (S < DENSE_HIT_FRACTION * N): score every union row, in row
     order, with the shared kernel;
   - dense (otherwise): score all N rows at once as |m|^2 - 2 m.v with one
-    mat-vec against cached squared norms, mask the rows outside the union,
-    and keep the union rows whose score is within 2E + 2.5 g k of the best
-    one, where g = (d+3)u / (1 - (d+3)u), u = 2^-53, E = g (max|m| + |v|)^2
-    and k is the kernel's squared distance to the best-scoring row. This
-    bound is derived, not tuned: see `LshIndex._dense_shortlist`.
+    mat-vec against cached squared norms, and keep the union rows whose
+    score is within 2E + 2.5 g k of the union's best one, where
+    g = (d+3)u / (1 - (d+3)u), u = 2^-53, E = g (max|m| + |v|)^2 and k is
+    the kernel's squared distance to the best-scoring row. This bound is
+    derived, not tuned: see `LshIndex._dense_shortlist`.
 Both re-score their rows with the shared kernel and tie-break, so they
 return the same record and distance bit for bit.
 
@@ -40,9 +47,10 @@ the corresponding (L-1)-table index.
 
 Build and insert require exclusive access; once loading is done the index
 is treated as frozen and queries may run concurrently, each thread staging
-its distance math, the dense branch's mat-vec and union mask included, in
-scratch buffers of its own (interleaving inserts with queries is
-unsupported and must be serialized by the caller).
+its distance math, the dense branch's mat-vec, the union mask and the
+query word's comparison with the packed words included, in scratch buffers
+of its own (interleaving inserts with queries is unsupported and must be
+serialized by the caller).
 
 Snapshot layout ("idx"):
     magic   8 bytes ASCII "LSHIDX01"
@@ -167,6 +175,16 @@ class LshIndex:
         self._norms = np.empty(cap, dtype=np.float64)  # squared, per row
         self._tx = np.empty(cap, dtype=np.uint32)
         self._sm = np.empty(cap, dtype=np.uint32)
+        # per row, its L one-bit keys as the bits of one word, table 0 in
+        # the high bits; kept only at K=1 and L <= 64 (see _union), derived
+        # and never saved
+        self._packed = None
+        if hash_bits == 1 and num_tables <= 64:
+            self._packed = np.empty(cap, dtype=np.uint64)
+            # keys @ weights puts table t's key bit at bit L-1-t
+            self._table_bits = np.uint64(1) << np.arange(
+                num_tables - 1, -1, -1, dtype=np.uint64)
+            self._all_tables = np.bitwise_or.reduce(self._table_bits)
         self._n = 0
         self._ids: set[int] = set()
         self._local = threading.local()  # per-thread scratch, see _scratch
@@ -194,11 +212,14 @@ class LshIndex:
             return new
         self._matrix, self._norms, self._tx, self._sm = map(
             grown, (self._matrix, self._norms, self._tx, self._sm))
+        if self._packed is not None:
+            self._packed = grown(self._packed)
 
     def _stage(self, matrix, tx_ids, sample_ids) -> np.ndarray:
-        """Write rows and their squared norms past the end of the store and
-        return the staged vectors. They count only once self._n moves over
-        them, so staging alone changes nothing a reader can see."""
+        """Write rows, their squared norms and packed key words past the end
+        of the store and return the rows' keys (see `keys`). They count only
+        once self._n moves over them, so staging alone changes nothing a
+        reader can see."""
         n = matrix.shape[0]
         self._ensure_capacity(n)
         at = slice(self._n, self._n + n)
@@ -207,7 +228,10 @@ class LshIndex:
         np.einsum("ij,ij->i", staged, staged, out=self._norms[at])
         self._tx[at] = tx_ids
         self._sm[at] = sample_ids
-        return staged
+        keys = self.keys(staged)
+        if self._packed is not None:
+            np.matmul(keys, self._table_bits, out=self._packed[at])
+        return keys
 
     def _scratch(self, name: str, rows: int, dtype=np.float64,
                  width: tuple = ()) -> np.ndarray:
@@ -305,8 +329,7 @@ class LshIndex:
             raise DuplicateRecordError(
                 f"(tx {key >> 32}, sample {key & 0xFFFFFFFF}) already indexed")
         start = self._n
-        keys = self.keys(self._stage(data.matrix, data.tx_ids,
-                                     data.sample_ids))
+        keys = self._stage(data.matrix, data.tx_ids, data.sample_ids)
 
         for buckets, column in zip(self._buckets, keys.T):
             order = np.argsort(column, kind="stable")
@@ -334,31 +357,54 @@ class LshIndex:
             raise ValidationError("query vector has non-finite components")
         return v
 
-    def _hits(self, v64: np.ndarray) -> list[np.ndarray]:
-        """The query's non-empty bucket in each table, in table order."""
+    def _hits(self, v64: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The query's keys, as `keys` gives them for one row, and its
+        non-empty bucket in each table, in table order."""
+        keys = self.keys(v64.reshape(1, -1))[0]
         hits = []
-        for buckets, key in zip(self._buckets,
-                                self.keys(v64.reshape(1, -1))[0].tolist()):
+        for buckets, key in zip(self._buckets, keys.tolist()):
             rows = buckets.get(key)
             if rows is not None:
                 hits.append(rows)
-        return hits
+        return keys, hits
 
-    def _union(self, hits: list[np.ndarray]) -> np.ndarray:
+    def _is_dense(self, hits: list[np.ndarray]) -> bool:
+        """Whether the hit buckets hold at least DENSE_HIT_FRACTION * N
+        rows in total, repeats across tables counted."""
+        return sum(rows.size for rows in hits) >= DENSE_HIT_FRACTION * self._n
+
+    def _union(self, keys: np.ndarray, hits: list[np.ndarray],
+               dense: bool) -> np.ndarray:
         """The hit buckets' union as a bool[N] row mask. It lives in this
-        thread's scratch, so it is valid until the thread's next query."""
+        thread's scratch, so it is valid until the thread's next query.
+
+        The index keeps one packed key word per row when K=1 and L <= 64:
+        the row's L one-bit keys, table 0 in the high bits. The words are
+        derived from `keys` as rows are stored and are never saved. A dense
+        query (see `_is_dense`) on such an index packs its own keys into a
+        word q the same way and marks every row whose word agrees with q in
+        some table's bit, that is, whose x = word ^ q is not all ones in the
+        low L bits: one XOR and one comparison over the N words, giving
+        exactly the union. Any other query scatters each hit bucket into
+        the mask, which costs its buckets' sizes, not N, so a selective
+        query on a large store pays no pass over N here.
+        """
         n = self._n
         mask = self._scratch("union", n, dtype=bool)[:n]
         if hits and hits[0].size == n:  # one bucket holds every row, as at K=0
             mask.fill(True)
             return mask
+        if dense and self._packed is not None:
+            x = self._scratch("xor", n, dtype=np.uint64)[:n]
+            np.bitwise_xor(self._packed[:n], keys @ self._table_bits, out=x)
+            return np.not_equal(x, self._all_tables, out=mask)
         mask.fill(False)
         for rows in hits:
             mask[rows] = True
         return mask
 
     def _dense_shortlist(self, v64: np.ndarray,
-                         hits: list[np.ndarray]) -> Optional[np.ndarray]:
+                         union: np.ndarray) -> Optional[np.ndarray]:
         """Union rows that can hold the union's nearest row, found with one
         mat-vec over the whole store; None if the bound below overflows.
 
@@ -385,14 +431,20 @@ class LshIndex:
         union row at or under the computed threshold is returned, and
         re-scoring them with the kernel and `nearest_position` gives the
         union's result bit for bit.
+
+        The argmin over all rows is the union's j whenever it lies in the
+        union (the first minimum of all rows is then the first of the
+        union's); only otherwise are the other rows masked.
         """
         n, d = self._n, self.dim
         score = self._scratch("score", n)[:n]
         # scaling by -2 is exact, so this is -2 fl(m_i . v) bit for bit
         np.matmul(self._matrix[:n], -2.0 * v64, out=score)
         score += self._norms[:n]
-        np.copyto(score, np.inf, where=~self._union(hits))
         j = int(score.argmin())
+        if not union[j]:
+            np.copyto(score, np.inf, where=~union)
+            j = int(score.argmin())
         k_j = float(squared_distances(self._matrix[j:j + 1], v64)[0])
         g = (d + 3) * _UNIT / (1.0 - (d + 3) * _UNIT)
         reach = math.sqrt(float(self._norms[:n].max())) + math.sqrt(
@@ -400,16 +452,21 @@ class LshIndex:
         limit = float(score[j]) + 2.0 * g * reach * reach + 2.5 * g * k_j
         if not math.isfinite(limit):
             return None
-        return np.flatnonzero(score <= limit)
+        keep = np.less_equal(score, limit,
+                             out=self._scratch("keep", n, dtype=bool)[:n])
+        keep &= union
+        return np.flatnonzero(keep)
 
     def candidates(self, vector) -> list[FingerprintRecord]:
         """The records of the query's bucket union, in row order."""
-        union = self._union(self._hits(self._query_vector(vector)))
+        keys, hits = self._hits(self._query_vector(vector))
+        union = self._union(keys, hits, self._is_dense(hits))
         return [self._record_at(r) for r in np.flatnonzero(union)]
 
     def candidate_count(self, vector) -> int:
+        keys, hits = self._hits(self._query_vector(vector))
         return int(np.count_nonzero(
-            self._union(self._hits(self._query_vector(vector)))))
+            self._union(keys, hits, self._is_dense(hits))))
 
     def ann_search(self, vector) -> Optional[tuple[FingerprintRecord, float]]:
         """Nearest record among the query's bucket union, or None if the
@@ -424,14 +481,14 @@ class LshIndex:
         same record and distance.
         """
         v64 = self._query_vector(vector)
-        hits = self._hits(v64)
+        keys, hits = self._hits(v64)
         if not hits:
             return None
-        pos = None
-        if sum(rows.size for rows in hits) >= DENSE_HIT_FRACTION * self._n:
-            pos = self._dense_shortlist(v64, hits)
+        dense = self._is_dense(hits)
+        union = self._union(keys, hits, dense)
+        pos = self._dense_shortlist(v64, union) if dense else None
         if pos is None:
-            pos = np.flatnonzero(self._union(hits))
+            pos = np.flatnonzero(union)
         sq = gathered_squared_distances(
             self._matrix, pos, v64,
             self._scratch("diff", pos.size, width=(self.dim,)),
@@ -467,6 +524,8 @@ class LshIndex:
         dup._buckets = [dict(b) for b in self._buckets]
         dup._matrix = self._matrix.copy()
         dup._norms = self._norms.copy()
+        if self._packed is not None:
+            dup._packed = self._packed.copy()
         dup._tx = self._tx.copy()
         dup._sm = self._sm.copy()
         dup._ids = set(self._ids)
@@ -598,12 +657,11 @@ def load_index(path, data: Dataset) -> LshIndex:
     if missing.size:
         raise ParseError(path, f"record {_id_text(int(order[missing[0]]))} "
                                f"not present in the resolving dataset")
-    index._stage(data.matrix[data_rows], data.tx_ids[data_rows],
-                 data.sample_ids[data_rows])
+    expected = index._stage(data.matrix[data_rows], data.tx_ids[data_rows],
+                            data.sample_ids[data_rows])
     index._n = size
     index._ids = set(order.tolist())
 
-    expected = index.keys(index._matrix[:size])
     for t, (keys, counts, ids) in enumerate(tables):
         if ids.size != size:
             raise ParseError(path, f"table {t} indexes {ids.size} records, "

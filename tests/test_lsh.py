@@ -650,7 +650,8 @@ def test_dense_branch_falls_back_when_scores_overflow():
 
 
 def test_dense_results_survive_copy_load_and_inserts(tmp_path):
-    # 1,500 rows cross the store's first capacity step
+    # 1,500 rows cross the store's first capacity step; at L=20, K=1 the
+    # union mask is read from the rows' packed key words
     data = _dataset(101, 1500, 6, scale=2.0)
     queries = np.random.Generator(np.random.PCG64(103)).standard_normal(
         (150, 6)) * 2.0
@@ -669,6 +670,10 @@ def test_dense_results_survive_copy_load_and_inserts(tmp_path):
     loaded = load_index(path, data)
 
     def results(index):
+        # the packed key words follow the stored rows
+        n = len(index)
+        words = index.keys(index._matrix[:n]) @ index._table_bits
+        assert np.array_equal(index._packed[:n], words)
         out = []
         for q in queries:
             record, dist = index.ann_search(q)
@@ -688,18 +693,54 @@ def test_dense_results_survive_copy_load_and_inserts(tmp_path):
     assert results(first) == results(built([*range(700), *range(1000, 1300)]))
     assert results(second) == results(built(range(1000)))
     second.insert_dataset(data.subset(range(1000, 1500)))  # grows the store
-    for other in (second, one_by_one, loaded):
+    for other in (second, one_by_one, loaded, full.copy()):
         assert results(other) == want
+
+
+class _GivenKeys(LshIndex):
+    """An index whose keys are given, not hashed: a row's one coordinate
+    is its row number in `given`."""
+
+    given = np.zeros((0, 1), dtype=np.uint64)
+
+    def keys(self, rows):
+        return self.given[rows[:, 0].astype(np.intp)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 20, 63, 64]), st.integers(0, 2**32 - 1))
+def test_packed_union_equals_the_scatter(num_tables, seed):
+    """The union mask read from packed key words marks exactly the rows
+    that share a key with the query in some table, as the scatter of the
+    hit buckets does, up to a word of L = 64 one-bit keys."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = 400
+    # rows agree with the query in no table, in about one, or in many
+    equal = rng.random((n, num_tables)) < rng.choice(
+        [0.0, 0.5 / num_tables, 0.3], (n, 1))
+    q = rng.integers(0, 2, num_tables, dtype=np.uint64)
+    index = _GivenKeys(1, num_tables, 1, seed=0)
+    index.given = np.vstack([q ^ ~equal, q]).astype(np.uint64)
+    index.insert_dataset(Dataset(1, np.zeros(n), np.arange(n),
+                                 np.arange(n, dtype=np.float32)[:, None]))
+
+    keys, hits = index._hits(np.array([float(n)]))
+    want = equal.any(axis=1)
+    assert np.array_equal(index._union(keys, hits, dense=False), want)
+    assert np.array_equal(index._union(keys, hits, dense=True), want)
 
 
 # -- contracts: concurrency, parsing, atomicity, lifetime ---------------------
 
-@pytest.mark.parametrize("hash_bits", [0, 6], ids=["dense", "gather"])
-def test_concurrent_queries_match_serial(hash_bits):
+@pytest.mark.parametrize(
+    "num_tables, hash_bits", [(2, 0), (2, 6), (20, 1)],
+    ids=["dense", "gather", "packed"])
+def test_concurrent_queries_match_serial(num_tables, hash_bits):
     # K=0 sends every query down the dense branch; L=2, K=6 hits ~3% of the
-    # records per query and gathers its union
+    # records per query and gathers its union; L=20, K=1 goes dense and
+    # builds its union mask from the rows' packed key words
     data = _dataset(61, 600, 8, scale=3.0)
-    index = build_index(8, 2, hash_bits, seed=62)
+    index = build_index(8, num_tables, hash_bits, seed=62)
     index.insert_dataset(data)
     queries = np.random.Generator(np.random.PCG64(63)).standard_normal(
         (1000, 8)) * 3.0
@@ -732,6 +773,24 @@ def test_concurrent_queries_match_serial(hash_bits):
     assert len(wrong) == 0
     if hash_bits == 0:
         assert want == [exact_nn(data, q) for q in queries]
+
+
+def test_union_masks_of_two_threads_are_apart():
+    # each thread's dense union mask, read from the packed words, stays
+    # valid while another thread queries; row r's negation hashes to the
+    # complement of r's keys, so its union is every row but r
+    data = _dataset(61, 600, 8, scale=3.0)
+    index = build_index(8, 20, 1, seed=62)
+    index.insert_dataset(data)
+    first, second = (index._hits(-data.matrix_f64()[r]) for r in (0, 1))
+    mask = index._union(*first, dense=True)
+    other = []
+    thread = threading.Thread(
+        target=lambda: other.append(index._union(*second, dense=True).copy()))
+    thread.start()
+    thread.join()
+    assert np.flatnonzero(~mask).tolist() == [0]
+    assert np.flatnonzero(~other[0]).tolist() == [1]
 
 
 def test_every_truncated_snapshot_raises_parse_error(tmp_path):
