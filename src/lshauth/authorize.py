@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .data import Dataset, FingerprintRecord, TransmitterRegistry, TxStatus
 from .errors import LshAuthError, ValidationError
@@ -93,7 +93,7 @@ class BatchQueryError(LshAuthError):
 
 
 def authorize_batch(index: LshIndex, registry: TransmitterRegistry,
-                    queries: Dataset | Sequence,
+                    queries: Dataset,
                     projector=None) -> tuple[list[AuthDecision], list[int]]:
     """Decide every query, timing each one on the monotonic clock.
 
@@ -103,14 +103,9 @@ def authorize_batch(index: LshIndex, registry: TransmitterRegistry,
     drop the first DEFAULT_LATENCY_WARMUP entries (see bench.latency_summary);
     decisions always count.
     """
-    if isinstance(queries, Dataset):
-        rows = queries.matrix
-    else:
-        rows = list(queries)
     decisions: list[AuthDecision] = []
     latencies: list[int] = []
-    for i in range(len(rows)):
-        v = rows[i]
+    for i, v in enumerate(queries.matrix):
         try:
             t0 = time.perf_counter_ns()
             if projector is not None:

@@ -368,11 +368,11 @@ def apply_addition(state: InitialState, count: int) -> AdditionEval:
     index = state.index.copy()
     registry = state.registry.copy()
 
-    t0 = time.perf_counter_ns()
-    if state.projector is not None:
-        batch = project(state.projector, batch)
-    enroll(index, registry, batch, added)
-    retrain_ns = time.perf_counter_ns() - t0
+    def retrain():
+        projected = (batch if state.projector is None
+                     else project(state.projector, batch))
+        enroll(index, registry, projected, added)
+    retrain_ns = time_block(retrain)
 
     queries = concat_datasets([
         state.split.test.filter_tx(state.authorized_ids + added),

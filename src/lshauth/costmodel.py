@@ -47,22 +47,17 @@ def predict_indexing_cost(p: CostParams) -> float:
     return float(p.size) * p.num_tables * p.dim * p.hash_bits
 
 
-def optimal_hash_size(size: int, dim: int = 1,
-                      max_bits: int = MAX_HASH_BITS) -> int:
-    """The K in [0, max_bits] minimizing predicted per-query cost.
+def optimal_hash_size(size: int) -> int:
+    """The K in [0, MAX_HASH_BITS] minimizing predicted per-query cost.
 
     Brute-force argmin; the table count and dimensionality scale the cost
-    uniformly, so they cannot change the winner. Ties go to the smaller K.
+    uniformly, so they cannot change the winner and are fixed at 1. Ties go
+    to the smaller K.
     """
     if size < 1:
         raise ValidationError(f"size must be >= 1, got {size}")
-    best_k, best_cost = 0, None
-    for k in range(0, max_bits + 1):
-        cost = predict_inference_cost(
-            CostParams(num_tables=1, hash_bits=k, dim=dim, size=size))
-        if best_cost is None or cost < best_cost:
-            best_k, best_cost = k, cost
-    return best_k
+    return min(range(MAX_HASH_BITS + 1), key=lambda k: predict_inference_cost(
+        CostParams(num_tables=1, hash_bits=k, dim=1, size=size)))
 
 
 def measured_scan_fraction(index: LshIndex, queries: Dataset) -> float:

@@ -20,8 +20,15 @@ U32_MAX = 2**32 - 1
 
 
 def combined_ids(tx_ids: np.ndarray, sample_ids: np.ndarray) -> np.ndarray:
-    """Pack (tx_id, sample_id) pairs into single uint64 keys."""
+    """Pack (tx_id, sample_id) pairs into uint64 record ids, tx_id in the
+    high word so that ids order as their pairs do; `split_ids` inverts it."""
     return (tx_ids.astype(np.uint64) << np.uint64(32)) | sample_ids.astype(np.uint64)
+
+
+def split_ids(ids):
+    """The (tx_id, sample_id) parts of ids packed by `combined_ids`: ints
+    for an int, uint64 arrays for an array."""
+    return divmod(ids, 1 << 32)
 
 
 class FingerprintRecord:
@@ -71,11 +78,12 @@ class FingerprintRecord:
 class Dataset:
     """An ordered, immutable collection of fingerprint records of equal dim.
 
-    Internally column-oriented: uint32 id arrays plus one float32 matrix of
-    shape (n, dim). Iteration order is insertion order and never changes.
+    Internally column-oriented: uint32 and packed uint64 id arrays plus one
+    float32 matrix of shape (n, dim). Iteration order is insertion order and
+    never changes.
     """
 
-    __slots__ = ("dim", "_tx_ids", "_sample_ids", "_matrix", "_f64", "_key_set")
+    __slots__ = ("dim", "_tx_ids", "_sample_ids", "_ids", "_matrix", "_f64", "_key_set")
 
     def __init__(self, dim: int, tx_ids, sample_ids, vectors):
         dim = int(dim)
@@ -98,15 +106,19 @@ class Dataset:
                 f"non-finite vector component in record {bad} "
                 f"(tx {int(tx[bad])}, sample {int(sm[bad])})"
             )
-        keys = combined_ids(tx, sm)
-        if np.unique(keys).size != keys.size:
-            raise ValidationError("duplicate (tx_id, sample_id) pair in dataset")
+        ids = combined_ids(tx, sm)
+        ranked = np.sort(ids)
+        repeated = ranked[1:][ranked[1:] == ranked[:-1]]
+        if repeated.size:
+            raise ValidationError("duplicate (tx_id, sample_id) = (%d, %d)" %
+                                  split_ids(int(repeated[0])))
         mat = np.ascontiguousarray(mat)
-        for arr in (tx, sm, mat):
+        for arr in (tx, sm, ids, mat):
             arr.flags.writeable = False
         self.dim = dim
         self._tx_ids = tx
         self._sample_ids = sm
+        self._ids = ids
         self._matrix = mat
         self._f64 = None
         self._key_set = None
@@ -145,6 +157,11 @@ class Dataset:
         return self._sample_ids
 
     @property
+    def ids(self) -> np.ndarray:
+        """Packed uint64 record ids (see `combined_ids`), row i = record i."""
+        return self._ids
+
+    @property
     def matrix(self) -> np.ndarray:
         """(n, dim) float32 view of all vectors, row i = record i."""
         return self._matrix
@@ -172,8 +189,7 @@ class Dataset:
         if not isinstance(other, Dataset):
             return NotImplemented
         return (self.dim == other.dim
-                and np.array_equal(self._tx_ids, other._tx_ids)
-                and np.array_equal(self._sample_ids, other._sample_ids)
+                and np.array_equal(self._ids, other._ids)
                 and np.array_equal(self._matrix, other._matrix))
 
     __hash__ = None  # mutable-value semantics: unhashable like a list

@@ -1,9 +1,9 @@
 """Shared Euclidean distance kernel and nearest-record selection.
 
 Every component that compares distances (the hash index, the brute-force
-scan, tests) goes through these two functions, so tie-breaking and rounding
-behavior cannot drift apart. The squared form is used for comparisons;
-reported distances are true Euclidean.
+scan, tests) checks its query, scores rows and breaks ties here, so
+validation, tie-breaking and rounding cannot drift apart. The squared form
+is used for comparisons; reported distances are true Euclidean.
 """
 
 from __future__ import annotations
@@ -12,8 +12,21 @@ import math
 
 import numpy as np
 
+from .errors import DimensionMismatchError, ValidationError
 
 _CHUNK_ROWS = 8192  # bounds the per-call temporary on very large scans
+
+
+def query_vector(vector, dim: int, owner: str) -> np.ndarray:
+    """`vector` as a flat float64 array, checked to have `dim` finite
+    components; `owner` names what sets `dim` in the error message."""
+    v = np.asarray(vector, dtype=np.float64).reshape(-1)
+    if v.shape[0] != dim:
+        raise DimensionMismatchError(
+            f"query dim {v.shape[0]} does not match {owner} dim {dim}")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("query vector has non-finite components")
+    return v
 
 
 def squared_distances(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -54,21 +67,12 @@ def gathered_squared_distances(matrix: np.ndarray, rows: np.ndarray,
     return np.einsum("ij,ij->i", diff, diff, out=out_buffer[:n])
 
 
-def nearest_position(tx_ids: np.ndarray, sample_ids: np.ndarray,
-                     sq_dists: np.ndarray) -> int:
+def nearest_position(ids: np.ndarray, sq_dists: np.ndarray) -> int:
     """Index of the minimum squared distance; exact ties go to the smallest
-    (tx_id, sample_id)."""
-    m = sq_dists.min()
-    tied = np.flatnonzero(sq_dists == m)
-    if tied.size == 1:
-        return int(tied[0])
-    best = tied[0]
-    best_key = (int(tx_ids[best]), int(sample_ids[best]))
-    for i in tied[1:]:
-        key = (int(tx_ids[i]), int(sample_ids[i]))
-        if key < best_key:
-            best, best_key = i, key
-    return int(best)
+    record id, which is the smallest (tx_id, sample_id) (see
+    `data.combined_ids`)."""
+    tied = np.flatnonzero(sq_dists == sq_dists.min())
+    return int(tied[0] if tied.size == 1 else tied[ids[tied].argmin()])
 
 
 def euclidean(sq: float) -> float:

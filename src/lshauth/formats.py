@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, TransmitterRegistry, TxStatus, combined_ids
+from .data import Dataset, TransmitterRegistry, TxStatus
 from .errors import ParseError, ValidationError
 
 DATASET_MAGIC = b"LSHEMB01"
@@ -49,21 +49,19 @@ def load_dataset(path, fmt: str = "bin") -> Dataset:
     raise ValidationError(f"unknown dataset format {fmt!r}; expected one of {FORMATS}")
 
 
+def _record_dtype(dim: int) -> np.dtype:
+    """One bin record: u32 tx_id, u32 sample_id, dim * f32, little-endian."""
+    return np.dtype([("tx", "<u4"), ("sample", "<u4"), ("vector", "<f4", (dim,))])
+
+
 def _save_bin(data: Dataset, path) -> None:
-    n = len(data)
-    # interleave ids and vector per record: (tx, sample, f0..f{d-1})
+    rows = np.empty(len(data), dtype=_record_dtype(data.dim))
+    rows["tx"], rows["sample"], rows["vector"] = (data.tx_ids, data.sample_ids,
+                                                  data.matrix)
     with open(path, "wb") as fh:
         fh.write(DATASET_MAGIC)
-        fh.write(_HEADER.pack(n, data.dim))
-        if n:
-            ids = np.empty((n, 2), dtype="<u4")
-            ids[:, 0] = data.tx_ids
-            ids[:, 1] = data.sample_ids
-            vecs = data.matrix.astype("<f4", copy=False)
-            rows = np.empty((n, 8 + 4 * data.dim), dtype=np.uint8)
-            rows[:, :8] = ids.view(np.uint8).reshape(n, 8)
-            rows[:, 8:] = vecs.view(np.uint8).reshape(n, 4 * data.dim)
-            fh.write(rows.tobytes())
+        fh.write(_HEADER.pack(len(data), data.dim))
+        fh.write(rows.tobytes())
 
 
 def _load_bin(path) -> Dataset:
@@ -81,25 +79,16 @@ def _load_bin(path) -> Dataset:
         raise ParseError(
             path, f"expected {expected} bytes for {n} records of dim {dim}, "
                   f"got {len(raw)}", offset=min(len(raw), expected))
-    if n == 0:
-        return Dataset.empty(dim)
-    rows = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(n, rec_bytes)
-    ids = rows[:, :8].reshape(-1).view("<u4").reshape(n, 2)
-    vecs = rows[:, 8:].reshape(-1).view("<f4").reshape(n, dim)
-    tx, sm = ids[:, 0], ids[:, 1]
+    rows = np.frombuffer(raw, dtype=_record_dtype(dim), offset=16)
+    vecs = rows["vector"]
     if not np.all(np.isfinite(vecs)):
         bad = int(np.argwhere(~np.isfinite(vecs).all(axis=1))[0][0])
         raise ParseError(path, f"non-finite component in record {bad}",
                          offset=16 + bad * rec_bytes)
-    keys = combined_ids(tx.astype(np.uint32), sm.astype(np.uint32))
-    uniq, counts = np.unique(keys, return_counts=True)
-    if uniq.size != keys.size:
-        dup = uniq[counts > 1][0]
-        raise ParseError(
-            path, f"duplicate (tx_id, sample_id) = "
-                  f"({int(dup >> np.uint64(32))}, {int(dup & np.uint64(0xFFFFFFFF))})")
-    return Dataset(dim, tx.astype(np.uint32), sm.astype(np.uint32),
-                   vecs.astype(np.float32))
+    try:
+        return Dataset(dim, rows["tx"], rows["sample"], vecs)
+    except ValidationError as e:
+        raise ParseError(path, str(e)) from None
 
 
 def _format_component(x: np.float32) -> str:

@@ -6,18 +6,21 @@ products with that table's hyperplanes (after subtracting an optional center
 offset): bit i is 1 when w_i . (v - center) >= 0, with exact zeros mapping
 to 1. Hyperplane index 0 occupies the most significant bit. `LshIndex.keys`
 is the only code that computes keys: inserts, queries and snapshot loads
-all go through it.
+all go through it, and a row's key does not depend on the rows hashed with
+it (see `LshIndex._sign_bits`).
 
-Storage: one row store holds every record's vector, squared norm and ids in
-row order. When K=1 and L <= 64 it also holds one packed key word per
-row: the row's L one-bit keys as the bits of one word, table 0 in the
-high bits, which are its L sign bits in hyperplane order. The words are
-derived from `keys` whenever rows are stored (insert and load), follow the
-store through growth and `copy`, and are never saved. Each table is a dict
-from key to a read-only array of row positions, in bucket-creation order,
-with each bucket's rows in insertion order. An insert replaces a bucket's
-array with a longer one and never writes into an existing array, so copies
-share bucket arrays and a query can use one without copying it.
+Storage: one row store holds every record's vector, squared norm and uint64
+record id (see `data.combined_ids`) in row order; a set of the same ids
+checks an insert for duplicates in time linear in the batch. When K=1 and
+L <= 64 the store also holds one packed key word per row: the row's L
+one-bit keys as the bits of one word, table 0 in the high bits, which are
+its L sign bits in hyperplane order. The words are derived from `keys`
+whenever rows are stored (insert and load), follow the store through
+growth and `copy`, and are never saved. Each table is a dict from key to a
+read-only array of row positions, in bucket-creation order, with each
+bucket's rows in insertion order. An insert replaces a bucket's array with
+a longer one and never writes into an existing array, so copies share
+bucket arrays and a query can use one without copying it.
 
 Candidate retrieval unions the L buckets a query maps to; the exact scan is
 then restricted to that union. One routine builds the union, as a bool[N]
@@ -82,9 +85,9 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, FingerprintRecord, combined_ids
+from .data import Dataset, FingerprintRecord, combined_ids, split_ids
 from .distance import (euclidean, gathered_squared_distances,
-                       nearest_position, squared_distances)
+                       nearest_position, query_vector, squared_distances)
 from .errors import (DimensionMismatchError, DuplicateRecordError, ParseError,
                      ValidationError)
 
@@ -94,6 +97,7 @@ INDEX_MAGIC = b"LSHIDX01"
 _GROW = 1024  # initial row-store and scratch capacity
 _HASH_CHUNK = 4096  # rows hashed per block, bounding keys()' temporaries
 _UNIT = 2.0 ** -53  # unit roundoff of float64
+_ETA = 2.0 ** -1074  # smallest positive float64
 # ann_search takes its dense branch when the query's hit buckets hold at
 # least this fraction of N rows in total, repeats across tables counted.
 # Timed per query on the benchmark instances, one core: on churn-dimred
@@ -163,6 +167,8 @@ class LshIndex:
         planes.flags.writeable = False
         self.hyperplanes = planes  # (L, K, dim)
         self._planes_2d = planes.reshape(num_tables * hash_bits, dim)
+        self._near_scale = 4.0 * dim * _UNIT / (1.0 - dim * _UNIT) * float(
+            np.abs(planes).sum(axis=-1).max(initial=0.0))  # see _sign_bits
         # bit weights, hyperplane 0 first; above 64 bits keys are Python ints
         self._powers = (np.uint64(1) << np.arange(hash_bits - 1, -1, -1,
                                                   dtype=np.uint64)
@@ -173,8 +179,7 @@ class LshIndex:
         cap = _GROW
         self._matrix = np.empty((cap, dim), dtype=np.float64)
         self._norms = np.empty(cap, dtype=np.float64)  # squared, per row
-        self._tx = np.empty(cap, dtype=np.uint32)
-        self._sm = np.empty(cap, dtype=np.uint32)
+        self._ids = np.empty(cap, dtype=np.uint64)  # record ids, see data.py
         # per row, its L one-bit keys as the bits of one word, table 0 in
         # the high bits; kept only at K=1 and L <= 64 (see _union), derived
         # and never saved
@@ -186,7 +191,7 @@ class LshIndex:
                 num_tables - 1, -1, -1, dtype=np.uint64)
             self._all_tables = np.bitwise_or.reduce(self._table_bits)
         self._n = 0
-        self._ids: set[int] = set()
+        self._id_set: set[int] = set()  # self._ids[:n], for O(batch) lookups
         self._local = threading.local()  # per-thread scratch, see _scratch
 
     # -- record store -------------------------------------------------------
@@ -210,12 +215,12 @@ class LshIndex:
             new = np.empty((cap, *old.shape[1:]), dtype=old.dtype)
             new[:self._n] = old[:self._n]
             return new
-        self._matrix, self._norms, self._tx, self._sm = map(
-            grown, (self._matrix, self._norms, self._tx, self._sm))
+        self._matrix, self._norms, self._ids = map(
+            grown, (self._matrix, self._norms, self._ids))
         if self._packed is not None:
             self._packed = grown(self._packed)
 
-    def _stage(self, matrix, tx_ids, sample_ids) -> np.ndarray:
+    def _stage(self, matrix, ids) -> np.ndarray:
         """Write rows, their squared norms and packed key words past the end
         of the store and return the rows' keys (see `keys`). They count only
         once self._n moves over them, so staging alone changes nothing a
@@ -226,8 +231,7 @@ class LshIndex:
         staged = self._matrix[at]
         staged[:] = matrix  # exact f32 -> f64 upcast
         np.einsum("ij,ij->i", staged, staged, out=self._norms[at])
-        self._tx[at] = tx_ids
-        self._sm[at] = sample_ids
+        self._ids[at] = ids
         keys = self.keys(staged)
         if self._packed is not None:
             np.matmul(keys, self._table_bits, out=self._packed[at])
@@ -257,14 +261,12 @@ class LshIndex:
         self._ensure_capacity(additional)
 
     def _record_at(self, row: int) -> FingerprintRecord:
-        return FingerprintRecord(
-            int(self._tx[row]), int(self._sm[row]),
-            self._matrix[row].astype(np.float32))
+        tx, sm = split_ids(int(self._ids[row]))
+        return FingerprintRecord(tx, sm, self._matrix[row].astype(np.float32))
 
     def indexed_dataset(self) -> Dataset:
         """The indexed records as a dataset, in insertion order."""
-        return Dataset(self.dim, self._tx[:self._n].copy(),
-                       self._sm[:self._n].copy(),
+        return Dataset(self.dim, *split_ids(self._ids[:self._n]),
                        self._matrix[:self._n].astype(np.float32))
 
     # -- hashing ------------------------------------------------------------
@@ -283,14 +285,9 @@ class LshIndex:
         dtype = np.uint64 if self._powers is not None else object
         if k == 0 or n == 0:
             return np.zeros((n, num_tables), dtype=dtype)
-        if n == 1:  # every query: a mat-vec is cheaper than a (1, dim) GEMM
-            blocks = [self._planes_2d @ (rows[0] - self.center)]
-        else:  # blocks bound the temporaries of a bulk insert or load
-            blocks = ((rows[c0:c0 + _HASH_CHUNK] - self.center)
-                      @ self._planes_2d.T for c0 in range(0, n, _HASH_CHUNK))
         out = []
-        for proj in blocks:
-            bits = (proj >= 0.0).reshape(-1, k)
+        for c0 in range(0, n, _HASH_CHUNK):  # bounds a bulk insert's temporaries
+            bits = self._sign_bits(rows[c0:c0 + _HASH_CHUNK]).reshape(-1, k)
             if self._powers is not None:
                 out.append(bits.astype(np.uint64) @ self._powers)
             else:
@@ -300,6 +297,34 @@ class LshIndex:
                 out.append(keys)
         return (out[0] if len(out) == 1 else np.concatenate(out)).reshape(
             n, num_tables)
+
+    def _sign_bits(self, block: np.ndarray) -> np.ndarray:
+        """Whether each row's dot product with each of the L*K hyperplanes,
+        after subtracting the center, is >= 0, as (n, L*K), each as the
+        row's own mat-vec gives it, so that a key depends on its row alone.
+
+        A block takes one GEMM, whose entry p differs from the mat-vec's p'
+        in summation order only. With y = row - center, either errs from
+        w.y by at most e = g_d sum|w_k y_k| + d eta <= g_d W Y + d eta,
+        where g_d = d u / (1 - d u), u = 2^-53, eta = 2^-1074 (underflow),
+        W is the largest |w|_1 and Y the block's largest |y_k|. If
+        |p| > 2e, p and p' share a nonzero sign. Rows with an entry (or a
+        NaN) at or under 4 g_d W Y + 4 d eta take the mat-vec; the factor 2
+        over 2e covers the rounding of W (relatively g_d) and of the
+        limit's other steps (a few u).
+        """
+        if block.shape[0] == 1:
+            return (self._planes_2d @ (block[0] - self.center) >= 0.0)[None]
+        diff = block - self.center
+        proj = diff @ self._planes_2d.T
+        bits = proj >= 0.0
+        size = np.abs(proj, out=proj)
+        limit = (self._near_scale * max(diff.max(), -diff.min())
+                 + 4 * self.dim * _ETA)
+        if not size.min() > limit:  # rare: a row within rounding of a plane
+            for i in np.flatnonzero(~(size > limit).all(axis=1)).tolist():
+                bits[i] = self._planes_2d @ (block[i] - self.center) >= 0.0
+        return bits
 
     # -- insertion ----------------------------------------------------------
 
@@ -323,13 +348,12 @@ class LshIndex:
         n = len(data)
         if n == 0:
             return
-        batch = combined_ids(data.tx_ids, data.sample_ids).tolist()
-        if not self._ids.isdisjoint(batch):
-            key = next(k for k in batch if k in self._ids)
-            raise DuplicateRecordError(
-                f"(tx {key >> 32}, sample {key & 0xFFFFFFFF}) already indexed")
+        batch = data.ids.tolist()
+        if not self._id_set.isdisjoint(batch):
+            key = next(k for k in batch if k in self._id_set)
+            raise DuplicateRecordError(f"{_id_text(key)} already indexed")
         start = self._n
-        keys = self._stage(data.matrix, data.tx_ids, data.sample_ids)
+        keys = self._stage(data.matrix, data.ids)
 
         for buckets, column in zip(self._buckets, keys.T):
             order = np.argsort(column, kind="stable")
@@ -344,18 +368,9 @@ class LshIndex:
                     groups[g] if old is None
                     else _frozen(np.concatenate((old, groups[g]))))
         self._n += n
-        self._ids.update(batch)
+        self._id_set.update(batch)
 
     # -- queries ------------------------------------------------------------
-
-    def _query_vector(self, vector) -> np.ndarray:
-        v = np.asarray(vector, dtype=np.float64).reshape(-1)
-        if v.shape[0] != self.dim:
-            raise DimensionMismatchError(
-                f"query dim {v.shape[0]} does not match index dim {self.dim}")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("query vector has non-finite components")
-        return v
 
     def _hits(self, v64: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """The query's keys, as `keys` gives them for one row, and its
@@ -459,12 +474,12 @@ class LshIndex:
 
     def candidates(self, vector) -> list[FingerprintRecord]:
         """The records of the query's bucket union, in row order."""
-        keys, hits = self._hits(self._query_vector(vector))
+        keys, hits = self._hits(query_vector(vector, self.dim, "index"))
         union = self._union(keys, hits, self._is_dense(hits))
         return [self._record_at(r) for r in np.flatnonzero(union)]
 
     def candidate_count(self, vector) -> int:
-        keys, hits = self._hits(self._query_vector(vector))
+        keys, hits = self._hits(query_vector(vector, self.dim, "index"))
         return int(np.count_nonzero(
             self._union(keys, hits, self._is_dense(hits))))
 
@@ -480,7 +495,7 @@ class LshIndex:
         `nearest_position` picks among them, so both branches return the
         same record and distance.
         """
-        v64 = self._query_vector(vector)
+        v64 = query_vector(vector, self.dim, "index")
         keys, hits = self._hits(v64)
         if not hits:
             return None
@@ -493,7 +508,7 @@ class LshIndex:
             self._matrix, pos, v64,
             self._scratch("diff", pos.size, width=(self.dim,)),
             self._scratch("sq", pos.size))
-        best_i = nearest_position(self._tx[pos], self._sm[pos], sq)
+        best_i = nearest_position(self._ids[pos], sq)
         return self._record_at(int(pos[best_i])), euclidean(float(sq[best_i]))
 
     def bucket_stats(self) -> BucketStats:
@@ -526,9 +541,8 @@ class LshIndex:
         dup._norms = self._norms.copy()
         if self._packed is not None:
             dup._packed = self._packed.copy()
-        dup._tx = self._tx.copy()
-        dup._sm = self._sm.copy()
-        dup._ids = set(self._ids)
+        dup._ids = self._ids.copy()
+        dup._id_set = set(self._id_set)
         dup._local = threading.local()
         return dup
 
@@ -559,10 +573,8 @@ def save_index(index: LshIndex, path) -> None:
         fh.write(struct.pack("<I", index.size))
         for buckets in index._buckets:
             rows = np.concatenate([_NO_ROWS, *buckets.values()])
-            entries = np.empty((rows.size, 2), dtype="<u4")
-            entries[:, 0] = index._tx[rows]
-            entries[:, 1] = index._sm[rows]
-            blob = entries.tobytes()
+            blob = np.stack(split_ids(index._ids[rows]), axis=1).astype(
+                "<u4").tobytes()
             parts = [struct.pack("<I", len(buckets))]
             off = 0
             for key, bucket in buckets.items():
@@ -605,7 +617,7 @@ def _find(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
 
 
 def _id_text(cid: int) -> str:
-    return f"(tx {cid >> 32}, sample {cid & 0xFFFFFFFF})"
+    return "(tx %d, sample %d)" % split_ids(cid)
 
 
 def load_index(path, data: Dataset) -> LshIndex:
@@ -652,15 +664,14 @@ def load_index(path, data: Dataset) -> LshIndex:
     order = tables[0][2]
     if order.size != size or np.unique(order).size != size:
         raise ParseError(path, "table 0 does not cover the stored record set")
-    data_rows = _find(combined_ids(data.tx_ids, data.sample_ids), order)
+    data_rows = _find(data.ids, order)
     missing = np.flatnonzero(data_rows < 0)
     if missing.size:
         raise ParseError(path, f"record {_id_text(int(order[missing[0]]))} "
                                f"not present in the resolving dataset")
-    expected = index._stage(data.matrix[data_rows], data.tx_ids[data_rows],
-                            data.sample_ids[data_rows])
+    expected = index._stage(data.matrix[data_rows], order)
     index._n = size
-    index._ids = set(order.tolist())
+    index._id_set = set(order.tolist())
 
     for t, (keys, counts, ids) in enumerate(tables):
         if ids.size != size:

@@ -9,31 +9,19 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from .authorize import AuthDecision, decide_from_neighbor
 from .data import Dataset, FingerprintRecord, TransmitterRegistry
-from .distance import euclidean, nearest_position, squared_distances
-from .errors import DimensionMismatchError, ValidationError
-
-
-def _check_query(data: Dataset, vector) -> np.ndarray:
-    v = np.asarray(vector, dtype=np.float64).reshape(-1)
-    if v.shape[0] != data.dim:
-        raise DimensionMismatchError(
-            f"query dim {v.shape[0]} does not match dataset dim {data.dim}")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError("query vector has non-finite components")
-    return v
+from .distance import (euclidean, nearest_position, query_vector,
+                       squared_distances)
 
 
 def exact_nn(data: Dataset, vector) -> Optional[tuple[FingerprintRecord, float]]:
     """Scan every record; ties break to the smallest (tx_id, sample_id)."""
-    v = _check_query(data, vector)
+    v = query_vector(vector, data.dim, "dataset")
     if len(data) == 0:
         return None
     sq = squared_distances(data.matrix_f64(), v)
-    best = nearest_position(data.tx_ids, data.sample_ids, sq)
+    best = nearest_position(data.ids, sq)
     return data.record(best), euclidean(float(sq[best]))
 
 

@@ -26,8 +26,11 @@ def test_record_ids_must_fit_u32():
 
 
 def test_dataset_rejects_duplicate_ids():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"\(1, 0\)"):
         Dataset(2, [1, 1], [0, 0], [[1, 2], [3, 4]])
+    # the message names the repeated pair, not its neighbours
+    with pytest.raises(ValidationError, match=r"= \(5, 2\)$"):
+        Dataset(1, [9, 5, 1, 5], [0, 2, 7, 2], [[1], [2], [3], [4]])
 
 
 def test_dataset_rejects_dim_mismatch():

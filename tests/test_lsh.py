@@ -128,6 +128,60 @@ def test_hash_key_dim_mismatch():
         index.candidates([1.0, 2.0, 3.0, 4.0])
 
 
+def _near_boundary_rows(index, rng, count: int) -> np.ndarray:
+    """Rows whose offset from the center is orthogonal to a randomly chosen
+    hyperplane, so their dot product with it is rounding noise, whose sign
+    the summation order can flip."""
+    planes = index.hyperplanes.reshape(-1, index.dim)
+    w = planes[rng.integers(0, len(planes), count)]
+    offset = rng.standard_normal((count, index.dim))
+    offset -= w * (np.einsum("ij,ij->i", offset, w)
+                   / np.einsum("ij,ij->i", w, w))[:, None]
+    return index.center + offset
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 24),
+       st.sampled_from([1, 3, 16, 70]),
+       st.lists(st.integers(2, 40), min_size=1, max_size=3), st.booleans())
+def test_a_key_depends_on_its_row_alone(seed, dim, hash_bits, heights,
+                                        past_chunk):
+    """keys() gives a row the same key alone, in blocks of assorted heights
+    and in one call across the hashing chunk's edge, rows within rounding
+    of a hyperplane included."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    index = build_index(dim, 3, hash_bits, seed=seed,
+                        center=rng.standard_normal(dim))
+    n = lsh._HASH_CHUNK + 40 if past_chunk else 200
+    rows = index.center + rng.standard_normal((n, dim))
+    near = rng.random(n) < 0.5
+    rows[near] = _near_boundary_rows(index, rng, int(near.sum()))
+    alone = np.concatenate([index.keys(row[None]) for row in rows])
+    assert np.array_equal(index.keys(rows), alone)
+    for h in heights:
+        blocks = [index.keys(rows[i:i + h]) for i in range(0, n, h)]
+        assert np.array_equal(np.concatenate(blocks), alone), h
+
+
+def test_records_inserted_one_at_a_time_load_from_their_snapshot(tmp_path):
+    # each center puts record 0 within rounding of table 0's hyperplane,
+    # where a one-row and a two-row hash could disagree on its sign
+    rng = np.random.Generator(np.random.PCG64(1))
+    w = build_index(8, 4, 1, seed=3).hyperplanes[0, 0]
+    path = tmp_path / "one.idx"
+    for _ in range(20):
+        rows = rng.standard_normal((2, 8)).astype(np.float32)
+        offset = rng.standard_normal(8)
+        offset -= w * (offset @ w) / (w @ w)
+        index = build_index(8, 4, 1, seed=3, center=rows[0] - offset)
+        data = Dataset(8, [0, 1], [0, 0], rows)
+        for record in data:
+            index.insert(record)
+        save_index(index, path)
+        loaded = load_index(path, data)
+        assert _snapshot(loaded, tmp_path, "again.idx") == path.read_bytes()
+
+
 # -- construction -------------------------------------------------------------
 
 def test_build_shapes_and_determinism():

@@ -29,6 +29,14 @@ def test_exact_nn_tie_breaks_to_smaller_ids():
     record, dist = exact_nn(data, np.zeros(1))
     assert dist == 1.0
     assert record.key() == (2, 1)
+    # across the word boundary of the packed ids: (1, 2^32 - 1) < (2, 0),
+    # in the brute-force scan and in the index alike
+    data = Dataset(1, [2, 1], [0, 2**32 - 1], [[1.0], [-1.0]])
+    index = build_index(1, 2, 0, seed=0)
+    index.insert_dataset(data)
+    for record, dist in (exact_nn(data, np.zeros(1)),
+                         index.ann_search(np.zeros(1))):
+        assert (record.key(), dist) == ((1, 2**32 - 1), 1.0)
 
 
 def test_exact_nn_dim_mismatch():
