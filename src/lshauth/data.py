@@ -31,6 +31,14 @@ def split_ids(ids):
     return divmod(ids, 1 << 32)
 
 
+def first_repeat(ids: np.ndarray) -> int | None:
+    """Position of the first id that repeats an earlier one, or None."""
+    order = np.argsort(ids, kind="stable")
+    ranked = ids[order]
+    later = order[1:][ranked[1:] == ranked[:-1]]
+    return int(later.min()) if later.size else None
+
+
 class FingerprintRecord:
     """One embedded signal sample: transmitter id, sample id, feature vector."""
 
@@ -83,7 +91,7 @@ class Dataset:
     never changes.
     """
 
-    __slots__ = ("dim", "_tx_ids", "_sample_ids", "_ids", "_matrix", "_f64", "_key_set")
+    __slots__ = ("dim", "_tx_ids", "_sample_ids", "_ids", "_matrix", "_f64")
 
     def __init__(self, dim: int, tx_ids, sample_ids, vectors):
         dim = int(dim)
@@ -108,10 +116,9 @@ class Dataset:
             )
         ids = combined_ids(tx, sm)
         ranked = np.sort(ids)
-        repeated = ranked[1:][ranked[1:] == ranked[:-1]]
-        if repeated.size:
+        if (ranked[1:] == ranked[:-1]).any():
             raise ValidationError("duplicate (tx_id, sample_id) = (%d, %d)" %
-                                  split_ids(int(repeated[0])))
+                                  split_ids(int(ids[first_repeat(ids)])))
         mat = np.ascontiguousarray(mat)
         for arr in (tx, sm, ids, mat):
             arr.flags.writeable = False
@@ -121,7 +128,6 @@ class Dataset:
         self._ids = ids
         self._matrix = mat
         self._f64 = None
-        self._key_set = None
 
     @classmethod
     def from_records(cls, records: Sequence[FingerprintRecord], dim: int | None = None) -> "Dataset":
@@ -196,11 +202,6 @@ class Dataset:
 
     def transmitters(self) -> set[int]:
         return set(int(t) for t in np.unique(self._tx_ids))
-
-    def keys(self) -> set[tuple[int, int]]:
-        if self._key_set is None:
-            self._key_set = set(zip(self._tx_ids.tolist(), self._sample_ids.tolist()))
-        return self._key_set
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)

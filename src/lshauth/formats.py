@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, TransmitterRegistry, TxStatus
+from .data import (Dataset, TransmitterRegistry, TxStatus, combined_ids,
+                   first_repeat)
 from .errors import ParseError, ValidationError
 
 DATASET_MAGIC = b"LSHEMB01"
@@ -130,8 +131,7 @@ def _load_csv(path) -> Dataset:
     if dim < 1 or feat_cols != [f"f{i}" for i in range(dim)]:
         raise ParseError(path, f"feature columns must be f0..f{{d-1}}, got {feat_cols}",
                          line=1)
-    tx, sm, rows = [], [], []
-    seen: set[tuple[int, int]] = set()
+    tx, sm, rows, linenos = [], [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -148,15 +148,17 @@ def _load_csv(path) -> Dataset:
             raise ParseError(path, f"id out of u32 range: ({t}, {s})", line=lineno)
         if not np.all(np.isfinite(vec)):
             raise ParseError(path, "non-finite vector component", line=lineno)
-        if (t, s) in seen:
-            raise ParseError(path, f"duplicate (tx_id, sample_id) = ({t}, {s})",
-                             line=lineno)
-        seen.add((t, s))
         tx.append(t)
         sm.append(s)
         rows.append(vec)
+        linenos.append(lineno)
     mat = np.stack(rows) if rows else np.empty((0, dim), dtype=np.float32)
-    return Dataset(dim, tx, sm, mat)
+    try:
+        return Dataset(dim, tx, sm, mat)
+    except ValidationError as e:  # a repeated id: name its record's line
+        at = first_repeat(combined_ids(np.array(tx), np.array(sm)))
+        raise ParseError(path, str(e),
+                         line=None if at is None else linenos[at]) from None
 
 
 _STATUS_NAMES = {s.value: s for s in TxStatus}

@@ -9,37 +9,37 @@ is the only code that computes keys: inserts, queries and snapshot loads
 all go through it, and a row's key does not depend on the rows hashed with
 it (see `LshIndex._sign_bits`).
 
-Storage: one row store holds every record's vector, squared norm and uint64
-record id (see `data.combined_ids`) in row order; a set of the same ids
-checks an insert for duplicates in time linear in the batch. When K=1 and
-L <= 64 the store also holds one packed key word per row: the row's L
-one-bit keys as the bits of one word, table 0 in the high bits, which are
-its L sign bits in hyperplane order. The words are derived from `keys`
-whenever rows are stored (insert and load), follow the store through
-growth and `copy`, and are never saved. Each table is a dict from key to a
-read-only array of row positions, in bucket-creation order, with each
-bucket's rows in insertion order. An insert replaces a bucket's array with
-a longer one and never writes into an existing array, so copies share
+Storage: one row store holds every record's vector, squared norm, uint64
+record id (see `data.combined_ids`) and L keys, as `keys` gives them, in
+row order; a set of the same ids checks an insert for duplicates in time
+linear in the batch. The keys are the ones each row was bucketed under,
+written whenever rows are stored (insert and load); they follow the store
+through growth and `copy` and are never saved. Each table is a dict from
+key to a read-only array of row positions, in bucket-creation order, with
+each bucket's rows in insertion order. An insert replaces a bucket's array
+with a longer one and never writes into an existing array, so copies share
 bucket arrays and a query can use one without copying it.
 
 Candidate retrieval unions the L buckets a query maps to; the exact scan is
-then restricted to that union. One routine builds the union, as a bool[N]
-row mask; `candidates`, `candidate_count` and both search branches read it.
-It marks all rows at once when a bucket holds every row, as at K=0. A
-query whose hit buckets sum to S >= DENSE_HIT_FRACTION * N rows (repeats
-across tables counted) on an index that keeps packed words compares its
-own word with every row's in two vector ops (see `LshIndex._union`).
-Any other query, and every query when K > 1 or L > 64, scatters each hit
-bucket into the mask, at a cost of S rather than N. `ann_search` reaches
-the scan by one of two branches, chosen per query from S:
-  - gather (S < DENSE_HIT_FRACTION * N): score every union row, in row
-    order, with the shared kernel;
+then restricted to that union. A row is in the union exactly when its key
+equals the query's in some table. `LshIndex._union` builds the union as a
+bool[N] row mask, marking all rows at once when a bucket holds every row,
+as at K=0, and otherwise scattering each hit bucket into the mask, at a
+cost of S, the hit buckets' summed sizes (repeats across tables counted),
+rather than N. `candidates` and `candidate_count` read that mask.
+`ann_search` reaches the scan by one of two branches, chosen per query
+from S:
+  - gather (S < DENSE_HIT_FRACTION * N): score every row of the mask, in
+    row order, with the shared kernel;
   - dense (otherwise): score all N rows at once as |m|^2 - 2 m.v with one
-    mat-vec against cached squared norms, and keep the union rows whose
-    score is within 2E + 2.5 g k of the union's best one, where
+    mat-vec against cached squared norms, keep the rows whose score is
+    within 2E + 2.5 g k of the union's best one, where
     g = (d+3)u / (1 - (d+3)u), u = 2^-53, E = g (max|m| + |v|)^2 and k is
-    the kernel's squared distance to the best-scoring row. This bound is
-    derived, not tuned: see `LshIndex._dense_shortlist`.
+    the kernel's squared distance to the best-scoring row, and drop those
+    whose stored keys miss the query's in every table. This bound is
+    derived, not tuned: see `LshIndex._dense_shortlist`. Only when the
+    best-scoring row of all is outside the union does this branch build
+    the mask.
 Both re-score their rows with the shared kernel and tie-break, so they
 return the same record and distance bit for bit.
 
@@ -50,10 +50,9 @@ the corresponding (L-1)-table index.
 
 Build and insert require exclusive access; once loading is done the index
 is treated as frozen and queries may run concurrently, each thread staging
-its distance math, the dense branch's mat-vec, the union mask and the
-query word's comparison with the packed words included, in scratch buffers
-of its own (interleaving inserts with queries is unsupported and must be
-serialized by the caller).
+its distance math, the dense branch's mat-vec and the union mask in
+scratch buffers of its own (interleaving inserts with queries is
+unsupported and must be serialized by the caller).
 
 Snapshot layout ("idx"):
     magic   8 bytes ASCII "LSHIDX01"
@@ -180,16 +179,8 @@ class LshIndex:
         self._matrix = np.empty((cap, dim), dtype=np.float64)
         self._norms = np.empty(cap, dtype=np.float64)  # squared, per row
         self._ids = np.empty(cap, dtype=np.uint64)  # record ids, see data.py
-        # per row, its L one-bit keys as the bits of one word, table 0 in
-        # the high bits; kept only at K=1 and L <= 64 (see _union), derived
-        # and never saved
-        self._packed = None
-        if hash_bits == 1 and num_tables <= 64:
-            self._packed = np.empty(cap, dtype=np.uint64)
-            # keys @ weights puts table t's key bit at bit L-1-t
-            self._table_bits = np.uint64(1) << np.arange(
-                num_tables - 1, -1, -1, dtype=np.uint64)
-            self._all_tables = np.bitwise_or.reduce(self._table_bits)
+        self._keys = np.empty((cap, num_tables), dtype=np.uint64
+                              if hash_bits <= 64 else object)  # see _stage
         self._n = 0
         self._id_set: set[int] = set()  # self._ids[:n], for O(batch) lookups
         self._local = threading.local()  # per-thread scratch, see _scratch
@@ -215,16 +206,16 @@ class LshIndex:
             new = np.empty((cap, *old.shape[1:]), dtype=old.dtype)
             new[:self._n] = old[:self._n]
             return new
-        self._matrix, self._norms, self._ids = map(
-            grown, (self._matrix, self._norms, self._ids))
-        if self._packed is not None:
-            self._packed = grown(self._packed)
+        self._matrix, self._norms, self._ids, self._keys = map(
+            grown, (self._matrix, self._norms, self._ids, self._keys))
 
     def _stage(self, matrix, ids) -> np.ndarray:
-        """Write rows, their squared norms and packed key words past the end
-        of the store and return the rows' keys (see `keys`). They count only
-        once self._n moves over them, so staging alone changes nothing a
-        reader can see."""
+        """Write rows, their squared norms, ids and keys (see `keys`) past
+        the end of the store and return the keys. They count only once
+        self._n moves over them, so staging alone changes nothing a reader
+        can see. This is the one writer of the key column, so it holds the
+        keys each row is bucketed under (a load checks them against the
+        snapshot's buckets)."""
         n = matrix.shape[0]
         self._ensure_capacity(n)
         at = slice(self._n, self._n + n)
@@ -232,9 +223,7 @@ class LshIndex:
         staged[:] = matrix  # exact f32 -> f64 upcast
         np.einsum("ij,ij->i", staged, staged, out=self._norms[at])
         self._ids[at] = ids
-        keys = self.keys(staged)
-        if self._packed is not None:
-            np.matmul(keys, self._table_bits, out=self._packed[at])
+        keys = self._keys[at] = self.keys(staged)
         return keys
 
     def _scratch(self, name: str, rows: int, dtype=np.float64,
@@ -388,40 +377,27 @@ class LshIndex:
         rows in total, repeats across tables counted."""
         return sum(rows.size for rows in hits) >= DENSE_HIT_FRACTION * self._n
 
-    def _union(self, keys: np.ndarray, hits: list[np.ndarray],
-               dense: bool) -> np.ndarray:
+    def _union(self, hits: list[np.ndarray]) -> np.ndarray:
         """The hit buckets' union as a bool[N] row mask. It lives in this
         thread's scratch, so it is valid until the thread's next query.
-
-        The index keeps one packed key word per row when K=1 and L <= 64:
-        the row's L one-bit keys, table 0 in the high bits. The words are
-        derived from `keys` as rows are stored and are never saved. A dense
-        query (see `_is_dense`) on such an index packs its own keys into a
-        word q the same way and marks every row whose word agrees with q in
-        some table's bit, that is, whose x = word ^ q is not all ones in the
-        low L bits: one XOR and one comparison over the N words, giving
-        exactly the union. Any other query scatters each hit bucket into
-        the mask, which costs its buckets' sizes, not N, so a selective
-        query on a large store pays no pass over N here.
-        """
+        Scattering each hit bucket into the mask costs the buckets' sizes,
+        not N, so a selective query on a large store pays no pass over N
+        here."""
         n = self._n
         mask = self._scratch("union", n, dtype=bool)[:n]
         if hits and hits[0].size == n:  # one bucket holds every row, as at K=0
             mask.fill(True)
             return mask
-        if dense and self._packed is not None:
-            x = self._scratch("xor", n, dtype=np.uint64)[:n]
-            np.bitwise_xor(self._packed[:n], keys @ self._table_bits, out=x)
-            return np.not_equal(x, self._all_tables, out=mask)
         mask.fill(False)
         for rows in hits:
             mask[rows] = True
         return mask
 
-    def _dense_shortlist(self, v64: np.ndarray,
-                         union: np.ndarray) -> Optional[np.ndarray]:
+    def _dense_shortlist(self, v64: np.ndarray, keys: np.ndarray,
+                         hits: list[np.ndarray]) -> Optional[np.ndarray]:
         """Union rows that can hold the union's nearest row, found with one
         mat-vec over the whole store; None if the bound below overflows.
+        `keys` and `hits` are the query's, as `_hits` gives them.
 
         Row i scores a_i = fl(n_i - 2 fl(m_i . v)), where n_i = fl(|m_i|^2)
         is the cached squared norm. The exact value A_i = D_i - |v|^2, with
@@ -447,9 +423,12 @@ class LshIndex:
         re-scoring them with the kernel and `nearest_position` gives the
         union's result bit for bit.
 
-        The argmin over all rows is the union's j whenever it lies in the
-        union (the first minimum of all rows is then the first of the
-        union's); only otherwise are the other rows masked.
+        A row is in the union exactly when its stored keys equal `keys` in
+        some table, so membership is tested on the rows that need it: the
+        argmin over all rows, and the rows at or under the threshold. The
+        argmin is the union's j whenever it lies in the union (the first
+        minimum of all rows is then the first of the union's); only
+        otherwise is the union's mask built and the other rows masked.
         """
         n, d = self._n, self.dim
         score = self._scratch("score", n)[:n]
@@ -457,8 +436,8 @@ class LshIndex:
         np.matmul(self._matrix[:n], -2.0 * v64, out=score)
         score += self._norms[:n]
         j = int(score.argmin())
-        if not union[j]:
-            np.copyto(score, np.inf, where=~union)
+        if not (self._keys[j] == keys).any():
+            np.copyto(score, np.inf, where=~self._union(hits))
             j = int(score.argmin())
         k_j = float(squared_distances(self._matrix[j:j + 1], v64)[0])
         g = (d + 3) * _UNIT / (1.0 - (d + 3) * _UNIT)
@@ -467,21 +446,18 @@ class LshIndex:
         limit = float(score[j]) + 2.0 * g * reach * reach + 2.5 * g * k_j
         if not math.isfinite(limit):
             return None
-        keep = np.less_equal(score, limit,
-                             out=self._scratch("keep", n, dtype=bool)[:n])
-        keep &= union
-        return np.flatnonzero(keep)
+        pos = np.flatnonzero(np.less_equal(
+            score, limit, out=self._scratch("keep", n, dtype=bool)[:n]))
+        return pos[(self._keys[pos] == keys).any(axis=1)]
 
     def candidates(self, vector) -> list[FingerprintRecord]:
         """The records of the query's bucket union, in row order."""
-        keys, hits = self._hits(query_vector(vector, self.dim, "index"))
-        union = self._union(keys, hits, self._is_dense(hits))
-        return [self._record_at(r) for r in np.flatnonzero(union)]
+        _, hits = self._hits(query_vector(vector, self.dim, "index"))
+        return [self._record_at(r) for r in np.flatnonzero(self._union(hits))]
 
     def candidate_count(self, vector) -> int:
-        keys, hits = self._hits(query_vector(vector, self.dim, "index"))
-        return int(np.count_nonzero(
-            self._union(keys, hits, self._is_dense(hits))))
+        _, hits = self._hits(query_vector(vector, self.dim, "index"))
+        return int(np.count_nonzero(self._union(hits)))
 
     def ann_search(self, vector) -> Optional[tuple[FingerprintRecord, float]]:
         """Nearest record among the query's bucket union, or None if the
@@ -490,8 +466,8 @@ class LshIndex:
         A query whose hit buckets hold at least DENSE_HIT_FRACTION * N
         rows in total (repeats across tables counted) takes the dense
         branch: a mat-vec over every row shortlists the union rows that can
-        be nearest (see `_dense_shortlist`). Any other query gathers its
-        union. Either way the kernel re-scores the rows and
+        be nearest (see `_dense_shortlist`). Any other query gathers the
+        rows of its union mask. Either way the kernel re-scores the rows and
         `nearest_position` picks among them, so both branches return the
         same record and distance.
         """
@@ -499,11 +475,10 @@ class LshIndex:
         keys, hits = self._hits(v64)
         if not hits:
             return None
-        dense = self._is_dense(hits)
-        union = self._union(keys, hits, dense)
-        pos = self._dense_shortlist(v64, union) if dense else None
+        pos = (self._dense_shortlist(v64, keys, hits)
+               if self._is_dense(hits) else None)
         if pos is None:
-            pos = np.flatnonzero(union)
+            pos = np.flatnonzero(self._union(hits))
         sq = gathered_squared_distances(
             self._matrix, pos, v64,
             self._scratch("diff", pos.size, width=(self.dim,)),
@@ -539,9 +514,8 @@ class LshIndex:
         dup._buckets = [dict(b) for b in self._buckets]
         dup._matrix = self._matrix.copy()
         dup._norms = self._norms.copy()
-        if self._packed is not None:
-            dup._packed = self._packed.copy()
         dup._ids = self._ids.copy()
+        dup._keys = self._keys.copy()
         dup._id_set = set(self._id_set)
         dup._local = threading.local()
         return dup

@@ -190,7 +190,7 @@ def test_enrollment_locality():
     center = rng.standard_normal(data.dim) * 30
     new = _cluster(new_tx, center, 12, seed=24)
     enroll(index, registry, new, [new_tx])
-    new_keys = set(new.keys())
+    new_keys = {r.key() for r in new}
     for q, old in zip(queries, before):
         cand_keys = {c.key() for c in index.candidates(q)}
         if not (cand_keys & new_keys):

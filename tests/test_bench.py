@@ -140,7 +140,8 @@ def test_no_sweep_query_is_an_indexed_record():
     state = build_initial_state(ExperimentConfig(seed=0))
     for count in (0, 5, 10, 15, 20):
         ev = apply_addition(state, count)
-        overlap = ev.index.indexed_dataset().keys() & ev.queries.keys()
+        overlap = (set(ev.index.indexed_dataset().ids.tolist())
+                   & set(ev.queries.ids.tolist()))
         assert not overlap, (count, len(overlap))
 
 
@@ -151,10 +152,11 @@ def test_enrolled_samples_split_between_index_and_queries():
     for ev in evals:
         indexed = ev.index.indexed_dataset()
         for t in state.authorized_ids + ev.added_ids:
-            held_in = indexed.filter_tx([t]).keys()
-            held_out = ev.queries.filter_tx([t]).keys()
+            held_in = set(indexed.filter_tx([t]).ids.tolist())
+            held_out = set(ev.queries.filter_tx([t]).ids.tolist())
             assert held_in.isdisjoint(held_out), (ev.n_added, t)
-            assert held_in | held_out == state.data.filter_tx([t]).keys()
+            assert held_in | held_out == set(
+                state.data.filter_tx([t]).ids.tolist())
         assert ev.queries.filter_tx(state.authorized_ids) == first, ev.n_added
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lshauth.data import (Dataset, FingerprintRecord, SyntheticSpec,
                           TransmitterRegistry, TxStatus, concat_datasets,
-                          generate_synthetic, split_dataset)
+                          first_repeat, generate_synthetic, split_dataset)
 from lshauth.errors import NotRegisteredError, ValidationError
 
 
@@ -31,6 +31,14 @@ def test_dataset_rejects_duplicate_ids():
     # the message names the repeated pair, not its neighbours
     with pytest.raises(ValidationError, match=r"= \(5, 2\)$"):
         Dataset(1, [9, 5, 1, 5], [0, 2, 7, 2], [[1], [2], [3], [4]])
+
+
+def test_first_repeat_is_the_earliest_record_seen_before():
+    ids = np.array([7, 3, 9, 3, 7, 1], dtype=np.uint64)
+    assert first_repeat(ids) == 3
+    assert first_repeat(ids[[0, 1, 2, 4]]) == 3
+    assert first_repeat(ids[:3]) is None
+    assert first_repeat(np.empty(0, dtype=np.uint64)) is None
 
 
 def test_dataset_rejects_dim_mismatch():
@@ -165,7 +173,8 @@ def test_split_partition_property(seed, n_auth, n_known, n_out, samples):
                    + n_out * samples)
     assert len(result.test) == test_expect
     # no key in both the pool and the test side
-    assert not (result.combined_train_val.keys() & result.test.keys())
+    assert set(result.combined_train_val.ids.tolist()).isdisjoint(
+        result.test.ids.tolist())
     assert (len(result.combined_train_val) + len(result.test)) == len(data)
 
 

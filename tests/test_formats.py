@@ -133,6 +133,11 @@ def test_csv_duplicate_and_nonfinite_lines(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_dataset(path, "csv")
     assert exc.value.line == 3
+    # blank lines hold no record, so the line is not the record's position
+    path.write_text("tx_id,sample_id,f0\n\n1,0,2.0\n\n2,0,1.0\n\n1,0,3.0\n")
+    with pytest.raises(ParseError, match=r"\(1, 0\)") as exc:
+        load_dataset(path, "csv")
+    assert exc.value.line == 7
     path.write_text("tx_id,sample_id,f0\n1,0,inf\n")
     with pytest.raises(ParseError, match="non-finite"):
         load_dataset(path, "csv")

@@ -621,32 +621,86 @@ def rescored(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_dense_ties_stay_inside_the_union(seed, rescored):
-    # exact ties at 2|q| on both sides of q: 3q shares q's sign pattern in
-    # every table, -q (and the closer -q/2) flips it in every table
+@pytest.fixture
+def unions(monkeypatch):
+    """One entry per union mask the index builds."""
+    calls = []
+    build = LshIndex._union
+
+    def spy(self, hits):
+        calls.append(len(hits))
+        return build(self, hits)
+
+    monkeypatch.setattr(LshIndex, "_union", spy)
+    return calls
+
+
+# ids: the seed alone at the paper's L=20, K=1, the shape and seed
+# otherwise; the other shapes cover K > 1, L*K > 64 and K > 64 (keys held
+# as Python ints)
+_TIE_SHAPES = [pytest.param(num_tables, hash_bits, seed, id=tag + str(seed))
+               for num_tables, hash_bits, tag in [(20, 1, ""), (30, 3, "L30-K3-"),
+                                                  (4, 70, "L4-K70-")]
+               for seed in range(5)]
+
+
+def _tied_index(num_tables, hash_bits, seed, closer_outside):
+    """An index with exact ties at 2|q| on both sides of a query q: 3q
+    shares q's key in every table, -q (and the closer -q/2, if asked for)
+    misses it in every table. Returns (index, q)."""
     rng = np.random.Generator(np.random.PCG64(500 + seed))
     dim = 4
     q = rng.integers(-16, 17, dim) / 8.0
     q[0] = 1.25  # not the zero vector
     tied_in = [(9, 4), (2, 7), (7, 1)]
     tied_out = [(1, 0), (1, 3), (0, 5)]
-    ids = tied_in + tied_out + [(0, 0)]
-    rows = [3.0 * q] * 3 + [-q] * 3 + [-0.5 * q]
+    ids = tied_in + tied_out
+    rows = [3.0 * q] * 3 + [-q] * 3
+    if closer_outside:
+        ids.append((0, 0))
+        rows.append(-0.5 * q)
     for k in range(40):  # farther rows on both sides
         t = 4.0 + k / 4.0
         ids += [(20 + k, 0), (20 + k, 1)]
         rows += [t * q, -t * q]
     data = Dataset(dim, [i[0] for i in ids], [i[1] for i in ids],
                    np.asarray(rows, dtype=np.float32))
-    index = build_index(dim, 20, 1, seed=600 + seed)
+    index = build_index(dim, num_tables, hash_bits, seed=600 + seed)
     index.insert_dataset(data)
     assert _hit_sum(index, data, q) >= DENSE_HIT_FRACTION * len(index)
     union = {r.key() for r in index.candidates(q)}
     assert union.isdisjoint(tied_out + [(0, 0)])
     assert set(tied_in) <= union
+    return index, q
 
+
+@pytest.mark.parametrize("num_tables, hash_bits, seed", _TIE_SHAPES)
+def test_dense_ties_stay_inside_the_union(num_tables, hash_bits, seed,
+                                          rescored, unions):
+    # -q/2 scores best of all rows but lies outside the union, so the
+    # query masks the rows outside the union before taking its best row
+    index, q = _tied_index(num_tables, hash_bits, seed, closer_outside=True)
+    unions.clear()
     record, dist = index.ann_search(q)
+    assert len(unions) == 1
+    assert record.key() == (2, 7)
+    assert dist == float(np.sqrt(np.sum((2.0 * q) ** 2)))
+    want = _union_nn(index, q)
+    assert (record.key(), dist) == (want[0].key(), want[1])
+    assert rescored[-1] < index.candidate_count(q)  # the dense branch ran
+
+
+@pytest.mark.parametrize("num_tables, hash_bits, seed", _TIE_SHAPES)
+def test_dense_ties_outside_the_union_are_dropped(num_tables, hash_bits,
+                                                  seed, rescored, unions):
+    # without -q/2 the first best-scoring row, 3q, is in the union, so no
+    # mask is built; -q scores exactly as 3q does (every value is a small
+    # dyadic rational) and reaches the shortlist, and only the rows' keys
+    # keep its smaller ids from winning the tie
+    index, q = _tied_index(num_tables, hash_bits, seed, closer_outside=False)
+    unions.clear()
+    record, dist = index.ann_search(q)
+    assert unions == []
     assert record.key() == (2, 7)
     assert dist == float(np.sqrt(np.sum((2.0 * q) ** 2)))
     want = _union_nn(index, q)
@@ -704,8 +758,8 @@ def test_dense_branch_falls_back_when_scores_overflow():
 
 
 def test_dense_results_survive_copy_load_and_inserts(tmp_path):
-    # 1,500 rows cross the store's first capacity step; at L=20, K=1 the
-    # union mask is read from the rows' packed key words
+    # 1,500 rows cross the store's first capacity step; at L=20, K=1
+    # every query goes dense and reads the stored key column
     data = _dataset(101, 1500, 6, scale=2.0)
     queries = np.random.Generator(np.random.PCG64(103)).standard_normal(
         (150, 6)) * 2.0
@@ -724,10 +778,9 @@ def test_dense_results_survive_copy_load_and_inserts(tmp_path):
     loaded = load_index(path, data)
 
     def results(index):
-        # the packed key words follow the stored rows
+        # the key column follows the stored rows
         n = len(index)
-        words = index.keys(index._matrix[:n]) @ index._table_bits
-        assert np.array_equal(index._packed[:n], words)
+        assert np.array_equal(index._keys[:n], index.keys(index._matrix[:n]))
         out = []
         for q in queries:
             record, dist = index.ann_search(q)
@@ -762,37 +815,46 @@ class _GivenKeys(LshIndex):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([1, 2, 20, 63, 64]), st.integers(0, 2**32 - 1))
-def test_packed_union_equals_the_scatter(num_tables, seed):
-    """The union mask read from packed key words marks exactly the rows
-    that share a key with the query in some table, as the scatter of the
-    hit buckets does, up to a word of L = 64 one-bit keys."""
+@given(st.sampled_from([1, 2, 20, 64]), st.sampled_from([1, 3]),
+       st.integers(0, 2**32 - 1))
+def test_key_column_membership_equals_the_union_mask(num_tables, hash_bits,
+                                                     seed):
+    """A row shares a key with the query in some table, by the stored key
+    column, exactly when the scatter of the hit buckets marks it, and the
+    dense branch's answer agrees with the union's nearest row."""
     rng = np.random.Generator(np.random.PCG64(seed))
     n = 400
     # rows agree with the query in no table, in about one, or in many
     equal = rng.random((n, num_tables)) < rng.choice(
         [0.0, 0.5 / num_tables, 0.3], (n, 1))
-    q = rng.integers(0, 2, num_tables, dtype=np.uint64)
-    index = _GivenKeys(1, num_tables, 1, seed=0)
-    index.given = np.vstack([q ^ ~equal, q]).astype(np.uint64)
+    q = rng.integers(0, 2**hash_bits, num_tables, dtype=np.uint64)
+    other = (q + rng.integers(1, 2**hash_bits, (n, num_tables),
+                              dtype=np.uint64)) % np.uint64(2**hash_bits)
+    index = _GivenKeys(1, num_tables, hash_bits, seed=0)
+    index.given = np.vstack([np.where(equal, q, other), q]).astype(np.uint64)
     index.insert_dataset(Dataset(1, np.zeros(n), np.arange(n),
                                  np.arange(n, dtype=np.float32)[:, None]))
 
-    keys, hits = index._hits(np.array([float(n)]))
+    query = np.array([float(n)])
+    keys, hits = index._hits(query)
     want = equal.any(axis=1)
-    assert np.array_equal(index._union(keys, hits, dense=False), want)
-    assert np.array_equal(index._union(keys, hits, dense=True), want)
+    assert np.array_equal((index._keys[:n] == keys).any(axis=1), want)
+    assert np.array_equal(index._union(hits), want)
+    got, nearest = index.ann_search(query), _union_nn(index, query)
+    assert (got is None) == (nearest is None)
+    if got is not None:
+        assert (got[0].key(), got[1]) == (nearest[0].key(), nearest[1])
 
 
 # -- contracts: concurrency, parsing, atomicity, lifetime ---------------------
 
 @pytest.mark.parametrize(
     "num_tables, hash_bits", [(2, 0), (2, 6), (20, 1)],
-    ids=["dense", "gather", "packed"])
+    ids=["dense", "gather", "dense-k1"])
 def test_concurrent_queries_match_serial(num_tables, hash_bits):
     # K=0 sends every query down the dense branch; L=2, K=6 hits ~3% of the
     # records per query and gathers its union; L=20, K=1 goes dense and
-    # builds its union mask from the rows' packed key words
+    # tests its shortlist's rows against the stored key column
     data = _dataset(61, 600, 8, scale=3.0)
     index = build_index(8, num_tables, hash_bits, seed=62)
     index.insert_dataset(data)
@@ -830,17 +892,17 @@ def test_concurrent_queries_match_serial(num_tables, hash_bits):
 
 
 def test_union_masks_of_two_threads_are_apart():
-    # each thread's dense union mask, read from the packed words, stays
-    # valid while another thread queries; row r's negation hashes to the
-    # complement of r's keys, so its union is every row but r
+    # each thread's union mask stays valid while another thread queries;
+    # row r's negation hashes to the complement of r's keys, so its union
+    # is every row but r
     data = _dataset(61, 600, 8, scale=3.0)
     index = build_index(8, 20, 1, seed=62)
     index.insert_dataset(data)
-    first, second = (index._hits(-data.matrix_f64()[r]) for r in (0, 1))
-    mask = index._union(*first, dense=True)
+    first, second = (index._hits(-data.matrix_f64()[r])[1] for r in (0, 1))
+    mask = index._union(first)
     other = []
     thread = threading.Thread(
-        target=lambda: other.append(index._union(*second, dense=True).copy()))
+        target=lambda: other.append(index._union(second).copy()))
     thread.start()
     thread.join()
     assert np.flatnonzero(~mask).tolist() == [0]
