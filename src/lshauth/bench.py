@@ -154,10 +154,8 @@ class MetricsReport:
     tn: int
     fn: int
     mean_latency_ns: Optional[float] = None
-    median_latency_ns: Optional[float] = None
     p95_latency_ns: Optional[float] = None
     retrain_ns: Optional[int] = None
-    bucket_summary: Optional[dict] = None
 
 
 def compute_metrics(decisions: Sequence[AuthDecision],
@@ -384,19 +382,10 @@ def apply_addition(state: InitialState, count: int) -> AdditionEval:
              for t in queries.tx_ids.tolist()]
 
     metrics = compute_metrics(decisions, truth)
-    mean_ns, median_ns, p95_ns = latency_summary(latencies)
-    stats = index.bucket_stats()
+    mean_ns, _, p95_ns = latency_summary(latencies)
     metrics.mean_latency_ns = mean_ns
-    metrics.median_latency_ns = median_ns
     metrics.p95_latency_ns = p95_ns
     metrics.retrain_ns = retrain_ns
-    metrics.bucket_summary = {
-        "max_occupancy": max(t.max_occupancy for t in stats.per_table),
-        "mean_occupancy": statistics.fmean(
-            t.mean_occupancy for t in stats.per_table),
-        "empty_fraction": statistics.fmean(
-            t.empty_fraction for t in stats.per_table),
-    }
     return AdditionEval(n_added=count, added_ids=added, index=index,
                         registry=registry, queries=queries,
                         ground_truth_outlier=truth, decisions=decisions,

@@ -51,20 +51,17 @@ def squared_distances(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
 
 
 def gathered_squared_distances(matrix: np.ndarray, rows: np.ndarray,
-                               vector: np.ndarray, diff_buffer: np.ndarray,
-                               out_buffer: np.ndarray) -> np.ndarray:
-    """squared_distances(matrix[rows], vector) without per-call allocation.
+                               vector: np.ndarray) -> np.ndarray:
+    """squared_distances(matrix[rows], vector) with one rows x dim temporary.
 
-    Element-wise identical to the plain form (same subtraction and the same
-    per-row reduction, just staged through caller-owned buffers); exists so
-    hot query paths do not churn megabytes of temporaries per call.
+    Element-wise identical to the plain form (the same subtraction and the
+    same per-row reduction), but the gathered rows are taken once and the
+    difference is formed in place, where the plain form on `matrix[rows]`
+    would hold a second copy.
     """
-    n = rows.shape[0]
-    # rows are internal positions; mode="clip" lets numpy write straight into
-    # `out`, where the default mode="raise" buffers through a temporary
-    diff = np.take(matrix, rows, axis=0, out=diff_buffer[:n], mode="clip")
-    np.subtract(diff, vector, out=diff)
-    return np.einsum("ij,ij->i", diff, diff, out=out_buffer[:n])
+    diff = matrix.take(rows, axis=0)
+    diff -= vector
+    return np.einsum("ij,ij->i", diff, diff)
 
 
 def nearest_position(ids: np.ndarray, sq_dists: np.ndarray) -> int:

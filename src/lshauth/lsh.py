@@ -23,10 +23,9 @@ bucket arrays and a query can use one without copying it.
 Candidate retrieval unions the L buckets a query maps to; the exact scan is
 then restricted to that union. A row is in the union exactly when its key
 equals the query's in some table. `LshIndex._union` builds the union as a
-bool[N] row mask, marking all rows at once when a bucket holds every row,
-as at K=0, and otherwise scattering each hit bucket into the mask, at a
-cost of S, the hit buckets' summed sizes (repeats across tables counted),
-rather than N. `candidates` and `candidate_count` read that mask.
+bool[N] row mask by scattering each hit bucket into it, at a cost of S,
+the hit buckets' summed sizes (repeats across tables counted), rather than
+a pass over N. `candidates` and `candidate_count` read that mask.
 `ann_search` reaches the scan by one of two branches, chosen per query
 from S:
   - gather (S < DENSE_HIT_FRACTION * N): score every row of the mask, in
@@ -49,10 +48,9 @@ identical, and the first L-1 tables of an L-table index equal the tables of
 the corresponding (L-1)-table index.
 
 Build and insert require exclusive access; once loading is done the index
-is treated as frozen and queries may run concurrently, each thread staging
-its distance math, the dense branch's mat-vec and the union mask in
-scratch buffers of its own (interleaving inserts with queries is
-unsupported and must be serialized by the caller).
+is treated as frozen and queries may run concurrently: a query allocates
+its own temporaries and writes nothing the index holds (interleaving
+inserts with queries is unsupported and must be serialized by the caller).
 
 Snapshot layout ("idx"):
     magic   8 bytes ASCII "LSHIDX01"
@@ -77,7 +75,6 @@ from __future__ import annotations
 import copy
 import math
 import struct
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -93,7 +90,7 @@ from .errors import (DimensionMismatchError, DuplicateRecordError, ParseError,
 MAX_HASH_BITS = 256
 INDEX_MAGIC = b"LSHIDX01"
 
-_GROW = 1024  # initial row-store and scratch capacity
+_GROW = 1024  # initial row-store capacity
 _HASH_CHUNK = 4096  # rows hashed per block, bounding keys()' temporaries
 _UNIT = 2.0 ** -53  # unit roundoff of float64
 _ETA = 2.0 ** -1074  # smallest positive float64
@@ -183,7 +180,6 @@ class LshIndex:
                               if hash_bits <= 64 else object)  # see _stage
         self._n = 0
         self._id_set: set[int] = set()  # self._ids[:n], for O(batch) lookups
-        self._local = threading.local()  # per-thread scratch, see _scratch
 
     # -- record store -------------------------------------------------------
 
@@ -225,19 +221,6 @@ class LshIndex:
         self._ids[at] = ids
         keys = self._keys[at] = self.keys(staged)
         return keys
-
-    def _scratch(self, name: str, rows: int, dtype=np.float64,
-                 width: tuple = ()) -> np.ndarray:
-        """This thread's buffer `name`, with at least `rows` rows (contents
-        undefined)."""
-        buf = getattr(self._local, name, None)
-        if buf is None or buf.shape[0] < rows:
-            cap = _GROW
-            while cap < rows:
-                cap *= 2
-            buf = np.empty((cap, *width), dtype=dtype)
-            setattr(self._local, name, buf)
-        return buf
 
     def reserve(self, additional: int) -> None:
         """Preallocate room for `additional` more records.
@@ -378,17 +361,10 @@ class LshIndex:
         return sum(rows.size for rows in hits) >= DENSE_HIT_FRACTION * self._n
 
     def _union(self, hits: list[np.ndarray]) -> np.ndarray:
-        """The hit buckets' union as a bool[N] row mask. It lives in this
-        thread's scratch, so it is valid until the thread's next query.
-        Scattering each hit bucket into the mask costs the buckets' sizes,
-        not N, so a selective query on a large store pays no pass over N
-        here."""
-        n = self._n
-        mask = self._scratch("union", n, dtype=bool)[:n]
-        if hits and hits[0].size == n:  # one bucket holds every row, as at K=0
-            mask.fill(True)
-            return mask
-        mask.fill(False)
+        """The hit buckets' union as a new bool[N] row mask. Scattering
+        each hit bucket into it costs the buckets' sizes beyond the zeroed
+        allocation, so a selective query pays no other pass over N here."""
+        mask = np.zeros(self._n, dtype=bool)
         for rows in hits:
             mask[rows] = True
         return mask
@@ -431,9 +407,8 @@ class LshIndex:
         otherwise is the union's mask built and the other rows masked.
         """
         n, d = self._n, self.dim
-        score = self._scratch("score", n)[:n]
         # scaling by -2 is exact, so this is -2 fl(m_i . v) bit for bit
-        np.matmul(self._matrix[:n], -2.0 * v64, out=score)
+        score = self._matrix[:n] @ (-2.0 * v64)
         score += self._norms[:n]
         j = int(score.argmin())
         if not (self._keys[j] == keys).any():
@@ -446,8 +421,7 @@ class LshIndex:
         limit = float(score[j]) + 2.0 * g * reach * reach + 2.5 * g * k_j
         if not math.isfinite(limit):
             return None
-        pos = np.flatnonzero(np.less_equal(
-            score, limit, out=self._scratch("keep", n, dtype=bool)[:n]))
+        pos = np.flatnonzero(score <= limit)
         return pos[(self._keys[pos] == keys).any(axis=1)]
 
     def candidates(self, vector) -> list[FingerprintRecord]:
@@ -479,10 +453,7 @@ class LshIndex:
                if self._is_dense(hits) else None)
         if pos is None:
             pos = np.flatnonzero(self._union(hits))
-        sq = gathered_squared_distances(
-            self._matrix, pos, v64,
-            self._scratch("diff", pos.size, width=(self.dim,)),
-            self._scratch("sq", pos.size))
+        sq = gathered_squared_distances(self._matrix, pos, v64)
         best_i = nearest_position(self._ids[pos], sq)
         return self._record_at(int(pos[best_i])), euclidean(float(sq[best_i]))
 
@@ -517,7 +488,6 @@ class LshIndex:
         dup._ids = self._ids.copy()
         dup._keys = self._keys.copy()
         dup._id_set = set(self._id_set)
-        dup._local = threading.local()
         return dup
 
 

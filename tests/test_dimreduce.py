@@ -222,6 +222,19 @@ def test_projector_snapshot_round_trip(tmp_path):
         assert loaded.kind == projector.kind
 
 
+@pytest.mark.parametrize("kind", ["pca", "random"])
+def test_every_truncated_projector_raises_parse_error(tmp_path, kind):
+    projector = (fit_pca(_cloud(42, 100, 5), 3) if kind == "pca"
+                 else fit_random_projection(5, 3, seed=3))
+    path = tmp_path / "cut.prj"
+    save_projector(projector, path)
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ParseError):
+            load_projector(path)
+
+
 def test_projector_snapshot_bad_magic(tmp_path):
     path = tmp_path / "x.prj"
     path.write_bytes(b"12345678" + b"\x00" * 16)

@@ -69,12 +69,16 @@ def test_bin_bad_magic(tmp_path):
 
 
 def test_bin_truncated(tmp_path):
-    data = _random_dataset(1, 4, 3)
+    # every proper prefix of a multi-record file, from the empty file
+    # through one byte short of the last record
+    data = _random_dataset(1, 12, 5)
     path = tmp_path / "t.bin"
     save_dataset(data, path, "bin")
-    path.write_bytes(path.read_bytes()[:-5])
-    with pytest.raises(ParseError):
-        load_dataset(path, "bin")
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ParseError):
+            load_dataset(path, "bin")
 
 
 def test_bin_duplicate_ids(tmp_path):

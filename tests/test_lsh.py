@@ -369,17 +369,14 @@ def test_candidate_completeness_at_full_scale():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 64), st.integers(1, 9))
 def test_gathered_distances_match_plain_form(seed, n, dim):
-    """The workspace-staged distance path is bit-identical to the plain one."""
+    """The gathered distance path is bit-identical to the plain one."""
     from lshauth.distance import gathered_squared_distances, squared_distances
     rng = np.random.Generator(np.random.PCG64(seed))
     matrix = rng.standard_normal((n + 5, dim))
     vector = rng.standard_normal(dim)
     rows = rng.choice(n + 5, size=n, replace=False)
-    diff_buf = np.empty((n + 5, dim))
-    out_buf = np.empty(n + 5)
-    staged = gathered_squared_distances(matrix, rows, vector, diff_buf,
-                                        out_buf)
-    assert np.array_equal(staged, squared_distances(matrix[rows], vector))
+    gathered = gathered_squared_distances(matrix, rows, vector)
+    assert np.array_equal(gathered, squared_distances(matrix[rows], vector))
 
 
 def test_candidate_monotonicity_in_l():
@@ -849,15 +846,25 @@ def test_key_column_membership_equals_the_union_mask(num_tables, hash_bits,
 # -- contracts: concurrency, parsing, atomicity, lifetime ---------------------
 
 @pytest.mark.parametrize(
-    "num_tables, hash_bits", [(2, 0), (2, 6), (20, 1)],
-    ids=["dense", "gather", "dense-k1"])
-def test_concurrent_queries_match_serial(num_tables, hash_bits):
+    "num_tables, hash_bits, loaded",
+    [pytest.param(num_tables, hash_bits, loaded,
+                  id=tag + ("-loaded" if loaded else ""))
+     for loaded in (False, True)
+     for num_tables, hash_bits, tag in [(2, 0, "dense"), (2, 6, "gather"),
+                                        (20, 1, "dense-k1")]])
+def test_concurrent_queries_match_serial(num_tables, hash_bits, loaded,
+                                         tmp_path):
     # K=0 sends every query down the dense branch; L=2, K=6 hits ~3% of the
     # records per query and gathers its union; L=20, K=1 goes dense and
-    # tests its shortlist's rows against the stored key column
+    # tests its shortlist's rows against the stored key column. The README
+    # promises concurrent queries once the index is loaded, so the index
+    # is also queried as a snapshot load rebuilds it.
     data = _dataset(61, 600, 8, scale=3.0)
     index = build_index(8, num_tables, hash_bits, seed=62)
     index.insert_dataset(data)
+    if loaded:
+        _snapshot(index, tmp_path)
+        index = load_index(tmp_path / "snap.idx", data)
     queries = np.random.Generator(np.random.PCG64(63)).standard_normal(
         (1000, 8)) * 3.0
     want = [_union_nn(index, q) for q in queries]
@@ -892,9 +899,9 @@ def test_concurrent_queries_match_serial(num_tables, hash_bits):
 
 
 def test_union_masks_of_two_threads_are_apart():
-    # each thread's union mask stays valid while another thread queries;
-    # row r's negation hashes to the complement of r's keys, so its union
-    # is every row but r
+    # a union mask is the calling query's own array, so one thread's mask
+    # is untouched by another thread's query; row r's negation hashes to
+    # the complement of r's keys, so its union is every row but r
     data = _dataset(61, 600, 8, scale=3.0)
     index = build_index(8, 20, 1, seed=62)
     index.insert_dataset(data)
