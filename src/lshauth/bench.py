@@ -188,22 +188,20 @@ def compute_metrics(decisions: Sequence[AuthDecision],
     )
 
 
-def latency_summary(latencies_ns: Sequence[int],
-                    warmup: int = DEFAULT_LATENCY_WARMUP
-                    ) -> tuple[float, float, float]:
-    """(mean, median, p95) over samples after the warm-up prefix.
+def latency_summary(latencies_ns: Sequence[int]) -> tuple[float, float]:
+    """(mean, p95) over samples after the first DEFAULT_LATENCY_WARMUP.
 
-    Falls back to the full sample when fewer than warmup+1 measurements
+    Falls back to the full sample when no more than that many measurements
     exist. p95 is nearest-rank. Returns zeros for an empty input.
     """
+    warmup = DEFAULT_LATENCY_WARMUP
     kept = list(latencies_ns[warmup:]) if len(latencies_ns) > warmup \
         else list(latencies_ns)
     if not kept:
-        return 0.0, 0.0, 0.0
+        return 0.0, 0.0
     ordered = sorted(kept)
     rank = max(int(np.ceil(0.95 * len(ordered))) - 1, 0)
-    return (statistics.fmean(kept), float(statistics.median(kept)),
-            float(ordered[rank]))
+    return statistics.fmean(kept), float(ordered[rank])
 
 
 def time_block(action: Callable[[], object]) -> int:
@@ -382,7 +380,7 @@ def apply_addition(state: InitialState, count: int) -> AdditionEval:
              for t in queries.tx_ids.tolist()]
 
     metrics = compute_metrics(decisions, truth)
-    mean_ns, _, p95_ns = latency_summary(latencies)
+    mean_ns, p95_ns = latency_summary(latencies)
     metrics.mean_latency_ns = mean_ns
     metrics.p95_latency_ns = p95_ns
     metrics.retrain_ns = retrain_ns

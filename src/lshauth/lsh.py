@@ -15,10 +15,11 @@ row order; a set of the same ids checks an insert for duplicates in time
 linear in the batch. The keys are the ones each row was bucketed under,
 written whenever rows are stored (insert and load); they follow the store
 through growth and `copy` and are never saved. Each table is a dict from
-key to a read-only array of row positions, in bucket-creation order, with
-each bucket's rows in insertion order. An insert replaces a bucket's array
-with a longer one and never writes into an existing array, so copies share
-bucket arrays and a query can use one without copying it.
+key to a read-only array of row positions, in bucket-creation order, that
+`_fill` slices from one array of grouped rows per insert or loaded table;
+a grown bucket gets a new array, so none is ever written, copies share
+them and queries read them uncopied. Inserts keep each bucket's rows in
+insertion order; a load keeps the file's order (see `load_index`).
 
 Candidate retrieval unions the L buckets a query maps to; the exact scan is
 then restricted to that union. A row is in the union exactly when its key
@@ -75,6 +76,7 @@ from __future__ import annotations
 import copy
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -109,6 +111,15 @@ def _frozen(rows: np.ndarray) -> np.ndarray:
 
 
 _NO_ROWS = _frozen(np.empty(0, dtype=np.intp))
+
+
+def _fill(buckets: dict, keys, rows: np.ndarray, starts, stops) -> None:
+    """Append rows[starts[i]:stops[i]] to bucket keys[i]; freezes `rows`."""
+    _frozen(rows)
+    for key, a, b in zip(keys, starts, stops):
+        old = buckets.get(key)
+        buckets[key] = (rows[a:b] if old is None
+                        else _frozen(np.concatenate((old, rows[a:b]))))
 
 
 @dataclass
@@ -309,10 +320,10 @@ class LshIndex:
 
         Atomic: ids are checked against the index (the batch's own ids are
         unique by the dataset's invariant) and every row is hashed before
-        any state changes, so a failure leaves the index as it was. New rows
-        are grouped per table by a stable sort, with new buckets created in
-        first-occurrence order, so the buckets, their entry order and their
-        creation order equal those of inserting the records one by one.
+        any state changes, so a failure leaves the index as it was. A
+        stable sort groups the rows per table and `_fill` adds the groups
+        in first-occurrence order, so buckets, entry and creation order
+        equal those of inserting the records one by one.
         """
         if data.dim != self.dim:
             raise DimensionMismatchError(
@@ -326,19 +337,14 @@ class LshIndex:
             raise DuplicateRecordError(f"{_id_text(key)} already indexed")
         start = self._n
         keys = self._stage(data.matrix, data.ids)
-
         for buckets, column in zip(self._buckets, keys.T):
             order = np.argsort(column, kind="stable")
             ranked = column[order]
             cuts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
-            firsts = np.concatenate(([0], cuts))
-            groups = np.split(_frozen(order + start), cuts)
-            group_keys = ranked[firsts].tolist()
-            for g in np.argsort(order[firsts]).tolist():
-                old = buckets.get(group_keys[g])
-                buckets[group_keys[g]] = (
-                    groups[g] if old is None
-                    else _frozen(np.concatenate((old, groups[g]))))
+            ends = np.concatenate(([0], cuts, [n]))  # group bounds
+            first = np.argsort(order[ends[:-1]])  # first-occurrence order
+            _fill(buckets, ranked[ends[first]].tolist(), order + start,
+                  ends[first].tolist(), ends[first + 1].tolist())
         self._n += n
         self._id_set.update(batch)
 
@@ -462,13 +468,10 @@ class LshIndex:
         total_keys = float(2 ** self.hash_bits)
         for buckets in self._buckets:
             sizes = [b.size for b in buckets.values()]
-            hist: dict[int, int] = {}
-            for s in sizes:
-                hist[s] = hist.get(s, 0) + 1
             nonempty = len(sizes)
             stats.per_table.append(TableStats(
                 nonempty_buckets=nonempty,
-                occupancy_histogram=hist,
+                occupancy_histogram=dict(Counter(sizes)),
                 max_occupancy=max(sizes) if sizes else 0,
                 mean_occupancy=(self._n / nonempty) if nonempty else 0.0,
                 empty_fraction=1.0 - nonempty / total_keys,
@@ -550,14 +553,14 @@ class _Reader:
         return int.from_bytes(self.take(4, what), "little")
 
 
-def _find(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Position in `ids` (distinct) of each of `wanted`, -1 where absent."""
+def _find(ids: np.ndarray, by_id: np.ndarray, wanted) -> np.ndarray:
+    """Position in `ids` (distinct, `by_id` its argsort) of each of
+    `wanted`, -1 where absent."""
     if ids.size == 0:
         return np.full(wanted.shape, -1, dtype=np.intp)
-    by_id = np.argsort(ids)
-    at = np.searchsorted(ids, wanted, sorter=by_id)
-    pos = by_id[np.minimum(at, ids.size - 1)]
-    return np.where(ids[pos] == wanted, pos, -1)
+    ranked = ids[by_id]
+    at = np.minimum(np.searchsorted(ranked, wanted), ids.size - 1)
+    return np.where(ranked[at] == wanted, by_id[at], -1)
 
 
 def _id_text(cid: int) -> str:
@@ -570,7 +573,8 @@ def load_index(path, data: Dataset) -> LshIndex:
     Every stored (tx_id, sample_id) must exist in `data`, and each record is
     re-hashed to confirm it belongs in its recorded bucket; a mismatch means
     the snapshot and dataset do not correspond. Rows come out in table-0
-    order, and every table keeps the bucket and entry order of the file.
+    order, which one sort resolves every table against; each table keeps
+    the file's bucket and entry order, which its keys cannot re-derive.
     """
     raw = Path(path).read_bytes()
     reader = _Reader(raw, path)
@@ -590,10 +594,14 @@ def load_index(path, data: Dataset) -> LshIndex:
         what = f"table {t}"
         keys, counts, chunks = [], [], []
         for _ in range(reader.u32(what)):
-            keys.append(int.from_bytes(reader.take(key_bytes, what), "big"))
-            counts.append(reader.u32(what))
+            head = reader.take(key_bytes + 4, what)
+            keys.append(int.from_bytes(head[:key_bytes], "big"))
+            counts.append(int.from_bytes(head[key_bytes:], "little"))
             chunks.append(reader.take(8 * counts[-1], what))
         entries = np.frombuffer(b"".join(chunks), dtype="<u4").reshape(-1, 2)
+        if entries.shape[0] != size:
+            raise ParseError(path, f"table {t} indexes {entries.shape[0]} "
+                                   f"records, expected {size}")
         tables.append((keys, counts, combined_ids(entries[:, 0],
                                                   entries[:, 1])))
     if reader.off != len(raw):
@@ -604,29 +612,23 @@ def load_index(path, data: Dataset) -> LshIndex:
     except ValidationError as e:
         raise ParseError(path, str(e), offset=8) from None
 
-    # rows in table-0 order; every table indexes the same set
-    order = tables[0][2]
-    if order.size != size or np.unique(order).size != size:
-        raise ParseError(path, "table 0 does not cover the stored record set")
-    data_rows = _find(data.ids, order)
+    order = tables[0][2]  # rows come in table-0 order
+    data_rows = _find(data.ids, np.argsort(data.ids), order)
     missing = np.flatnonzero(data_rows < 0)
     if missing.size:
         raise ParseError(path, f"record {_id_text(int(order[missing[0]]))} "
                                f"not present in the resolving dataset")
     expected = index._stage(data.matrix[data_rows], order)
     index._n = size
-    index._id_set = set(order.tolist())
 
+    by_id = np.argsort(order)
     for t, (keys, counts, ids) in enumerate(tables):
-        if ids.size != size:
-            raise ParseError(path, f"table {t} indexes {ids.size} records, "
-                                   f"expected {size}")
-        rows = np.arange(size) if t == 0 else _find(order, ids)
+        rows = _find(order, by_id, ids)
         unknown = np.flatnonzero(rows < 0)
         if unknown.size:
             raise ParseError(path, f"table {t} references unknown record "
                                    f"{_id_text(int(ids[unknown[0]]))}")
-        if t and np.unique(rows).size != size:
+        if np.bincount(rows, minlength=size).max(initial=0) > 1:
             raise ParseError(path, f"table {t} lists a record twice")
         stored = np.repeat(np.array(keys, dtype=expected.dtype), counts)
         wrong = np.flatnonzero(stored != expected[rows, t])
@@ -636,9 +638,9 @@ def load_index(path, data: Dataset) -> LshIndex:
                       f"to their recorded buckets (first: record "
                       f"{_id_text(int(ids[wrong[0]]))}); snapshot and dataset "
                       f"disagree")
-        buckets = dict(zip(keys, np.split(_frozen(rows),
-                                          np.cumsum(counts[:-1], dtype=np.intp))))
-        if len(buckets) != len(keys):
+        stops = np.cumsum(counts).tolist()
+        _fill(index._buckets[t], keys, rows, [0, *stops[:-1]], stops)
+        if len(index._buckets[t]) != len(keys):
             raise ParseError(path, f"table {t} repeats a bucket key")
-        index._buckets[t] = buckets
+    index._id_set = set(order.tolist())
     return index

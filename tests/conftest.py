@@ -110,3 +110,22 @@ def parse_snapshot(raw: bytes) -> list[list[tuple[int, list[tuple[int, int]]]]]:
         tables.append(buckets)
     assert off == len(raw)
     return tables
+
+
+def write_snapshot(head: bytes, size: int,
+                   tables: list[list[tuple[int, list[tuple[int, int]]]]]
+                   ) -> bytes:
+    """An `.idx` snapshot built independently of lshauth: the inverse of
+    `parse_snapshot`. `head` is a snapshot's bytes from the magic through
+    the center; `size` goes to the record count field as given, and each
+    bucket's entry count is the length of its list."""
+    (k,) = struct.unpack_from("<I", head, 24)
+    key_bytes = (k + 7) // 8
+    out = [head, struct.pack("<I", size)]
+    for buckets in tables:
+        out.append(struct.pack("<I", len(buckets)))
+        for key, entries in buckets:
+            out += (key.to_bytes(key_bytes, "big"),
+                    struct.pack("<I", len(entries)),
+                    *(struct.pack("<II", *e) for e in entries))
+    return b"".join(out)

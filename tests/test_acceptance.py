@@ -255,7 +255,7 @@ def test_c08_latency_trend():
         index = build_index(dim, 1, bits, seed=708)
         index.insert_dataset(data)
         _, latencies = authorize_batch(index, registry, queries)
-        means[bits], _, _ = latency_summary(latencies, warmup=100)
+        means[bits], _ = latency_summary(latencies)
     assert means[5] >= 2.0 * means[15], means
 
 

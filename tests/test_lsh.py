@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import parse_snapshot
+from conftest import parse_snapshot, write_snapshot
 from lshauth import lsh
 from lshauth.data import Dataset, FingerprintRecord
 from lshauth.errors import (DimensionMismatchError, DuplicateRecordError,
@@ -561,6 +561,101 @@ def test_snapshot_bad_magic(tmp_path):
     path.write_bytes(b"WRONG!!!" + b"\x00" * 32)
     with pytest.raises(ParseError, match="magic"):
         load_index(path, _dataset(0, 1, 1))
+
+
+def _structural_defect(case, tables):
+    """Break `tables` (a 30-record, 3-table snapshot as `parse_snapshot`
+    reads it) in one way; return the record count to write and the error
+    `load_index` must give."""
+    if case == "table 0 twice":
+        tables[0][0][1][0] = tables[0][1][1][0]
+        return 30, "table 0 lists a record twice"
+    if case == "table 1 twice":
+        tables[1][-1][1][-1] = tables[1][0][1][0]
+        return 30, "table 1 lists a record twice"
+    if case == "unknown record":
+        tables[2][0][1][0] = (99, 99)
+        return 30, r"table 2 references unknown record \(tx 99, sample 99\)"
+    if case == "repeated key":
+        at = next(i for i, b in enumerate(tables[1]) if len(b[1]) > 1)
+        key, entries = tables[1][at]
+        tables[1][at:at + 1] = [(key, entries[:1]), (key, entries[1:])]
+        return 30, "table 1 repeats a bucket key"
+    if case == "entry short":
+        tables[2][-1][1].pop()
+        return 30, "table 2 indexes 29 records, expected 30"
+    assert case == "count high"
+    return 31, "table 0 indexes 30 records, expected 31"
+
+
+@pytest.mark.parametrize("case", ["table 0 twice", "table 1 twice",
+                                  "unknown record", "repeated key",
+                                  "entry short", "count high"])
+def test_structural_snapshot_defects_name_their_table(tmp_path, case):
+    data = _dataset(41, 30, 3)
+    index = build_index(3, 3, 2, seed=42)
+    index.insert_dataset(data)
+    raw = _snapshot(index, tmp_path)
+    head = raw[:hyperplane_section_length(3)]
+    tables = parse_snapshot(raw)
+    assert write_snapshot(head, 30, tables) == raw
+    size, message = _structural_defect(case, tables)
+    path = tmp_path / "bad.idx"
+    path.write_bytes(write_snapshot(head, size, tables))
+    with pytest.raises(ParseError, match=message):
+        load_index(path, data)
+
+
+def test_loaded_tables_keep_file_order_not_row_order(tmp_path):
+    # rows come back in table-0 order, so a later table's buckets can hold
+    # their rows out of ascending order: its file order cannot be derived
+    # from the rows' keys, and re-inserting the rows in row order would
+    # save different bytes
+    rows = np.random.default_rng(0).standard_normal((8, 3)).astype(np.float32)
+    data = Dataset(3, np.arange(8), np.zeros(8), rows)
+    index = build_index(3, 2, 2, seed=0)
+    index.insert_dataset(data)
+    raw = _snapshot(index, tmp_path)
+    loaded = load_index(tmp_path / "snap.idx", data)
+    buckets = [b.tolist() for b in loaded._buckets[1].values()]
+    assert [b == sorted(b) for b in buckets] == [True, False, False]
+    rebuilt = build_index(3, 2, 2, seed=0)
+    rebuilt.insert_dataset(loaded.indexed_dataset())
+    assert _snapshot(rebuilt, tmp_path, "rebuilt.idx") != raw
+    assert _snapshot(loaded, tmp_path, "again.idx") == raw
+
+
+def test_buckets_out_of_first_occurrence_order_load_and_resave(tmp_path):
+    data = _dataset(43, 40, 3)
+    index = build_index(3, 3, 2, seed=44)
+    index.insert_dataset(data)
+    raw = _snapshot(index, tmp_path)
+    tables = parse_snapshot(raw)
+    tables[1][0], tables[1][-1] = tables[1][-1], tables[1][0]
+    swapped = write_snapshot(raw[:hyperplane_section_length(3)], 40, tables)
+    assert swapped != raw
+    path = tmp_path / "swapped.idx"
+    path.write_bytes(swapped)
+    assert _snapshot(load_index(path, data), tmp_path, "again.idx") == swapped
+
+
+@pytest.mark.parametrize("num_tables, hash_bits",
+                         [(3, 0), (20, 1), (2, 2), (5, 16), (2, 70)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_insert_after_load_saves_as_insert_after_build(tmp_path, num_tables,
+                                                       hash_bits, seed):
+    # the enroll path: load a snapshot, insert a batch, save
+    data = _dataset(600 + seed, 120, 5)
+    base, batch = data.subset(range(90)), data.subset(range(90, 120))
+    index = build_index(5, num_tables, hash_bits, seed=seed,
+                        center=data.matrix_f64().mean(axis=0))
+    index.insert_dataset(base)
+    _snapshot(index, tmp_path)
+    loaded = load_index(tmp_path / "snap.idx", base)
+    loaded.insert_dataset(batch)
+    index.insert_dataset(batch)
+    assert (_snapshot(loaded, tmp_path, "a.idx")
+            == _snapshot(index, tmp_path, "b.idx"))
 
 
 def test_hyperplane_section_stable_under_insert(tmp_path):
