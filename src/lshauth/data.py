@@ -28,7 +28,7 @@ def combined_ids(tx_ids: np.ndarray, sample_ids: np.ndarray) -> np.ndarray:
 def split_ids(ids):
     """The (tx_id, sample_id) parts of ids packed by `combined_ids`: ints
     for an int, uint64 arrays for an array."""
-    return divmod(ids, 1 << 32)
+    return ids >> 32, ids & 0xFFFFFFFF
 
 
 def first_repeat(ids: np.ndarray) -> int | None:

@@ -67,7 +67,14 @@ Snapshot layout ("idx"):
             entries  u32 count, then count * (u32 tx_id, u32 sample_id)
 Vectors are not stored; loading resolves (tx_id, sample_id) pairs against a
 dataset and verifies each record still hashes into its recorded bucket.
-The byte span from the start of the file through `center` is exactly the
+Saving and loading share one description of the tables' bytes, `_layout`:
+where each table's bucket count and each bucket's key and entry count
+sit, and a mask of the entry bytes between them. A save iterates the
+bucket dicts only to collect keys, sizes and row arrays; numpy encodes
+the whole file before it is opened. A load walks only the entry counts
+in Python, each of which locates the next bucket, then takes every key
+and entry out with numpy and resolves each table with one sort of its
+ids. The byte span from the start of the file through `center` is exactly the
 hyperplane-defining state: it is untouched by inserts.
 """
 
@@ -78,6 +85,7 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -503,6 +511,7 @@ def build_index(dim: int, num_tables: int, hash_bits: int, seed: int,
 # -- snapshot io -------------------------------------------------------------
 
 _IDX_FIXED = struct.Struct("<QIII")
+_U32 = struct.Struct("<I")
 
 
 def hyperplane_section_length(dim: int) -> int:
@@ -510,26 +519,73 @@ def hyperplane_section_length(dim: int) -> int:
     return 8 + _IDX_FIXED.size + 8 * dim
 
 
+def _layout(key_bytes: int, per_table, counts: np.ndarray):
+    """Where a snapshot's tables section keeps its fields, given each
+    table's bucket count and every bucket's entry count, table by table:
+    the byte positions of each table's u32 bucket count, as (L, 4), and
+    of each bucket's key and u32 entry count, as (buckets, key_bytes + 4),
+    and a bool mask over the section of the bytes left between them, the
+    entries. Writing and reading a snapshot both go through it."""
+    per_table = np.asarray(per_table, dtype=np.intp)
+    tables = np.arange(per_table.size)
+    # bytes of the buckets before each bucket, and then of all of them
+    before = np.cumsum(np.concatenate(([0], key_bytes + 4 + 8 * counts)))
+    table_at = before[np.cumsum(per_table) - per_table] + 4 * tables
+    bucket_at = before[:-1] + 4 * (np.repeat(tables, per_table) + 1)
+    table_bytes = table_at[:, None] + np.arange(4)
+    bucket_bytes = bucket_at[:, None] + np.arange(key_bytes + 4)
+    entries = np.ones(before[-1] + 4 * per_table.size, dtype=bool)
+    entries[table_bytes] = False
+    entries[bucket_bytes] = False
+    return table_bytes, bucket_bytes, entries
+
+
+def _key_shifts(key_bytes: int, dtype) -> np.ndarray:
+    """The shift of each byte of a big-endian key, first byte first, in
+    the key column's dtype, so that keys above 64 bits shift as Python
+    ints."""
+    return (8 * np.arange(key_bytes - 1, -1, -1)).astype(dtype)
+
+
+def _u32_bytes(values) -> np.ndarray:
+    """Little-endian u32 bytes of `values`, one row of 4 per value."""
+    return np.asarray(values).astype("<u4").view(np.uint8).reshape(-1, 4)
+
+
 def save_index(index: LshIndex, path) -> None:
+    """Write `index` to `path` as an "idx" snapshot.
+
+    Python walks the tables only to collect each bucket's key, size and
+    row array; numpy then places every bucket count, key, entry count and
+    entry into one preallocated body through `_layout`. The whole file is
+    encoded before `path` is opened, so a failure leaves an existing file
+    as it was.
+    """
+    tables = index._buckets
+    groups = [rows for buckets in tables for rows in buckets.values()]
+    counts = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+    keys = np.fromiter(chain.from_iterable(tables), dtype=index._keys.dtype,
+                       count=len(groups))
+    per_table = [len(buckets) for buckets in tables]
     key_bytes = (index.hash_bits + 7) // 8
+    table_bytes, bucket_bytes, entries = _layout(key_bytes, per_table, counts)
+    body = np.empty(entries.size, dtype=np.uint8)
+    body[table_bytes] = _u32_bytes(per_table)
+    body[bucket_bytes[:, :key_bytes]] = (
+        keys[:, None] >> _key_shifts(key_bytes, keys.dtype)) & 0xFF
+    body[bucket_bytes[:, key_bytes:]] = _u32_bytes(counts)
+    ids = index._ids[np.concatenate([_NO_ROWS, *groups])]
+    pairs = np.empty((ids.size, 2), dtype="<u4")
+    pairs[:, 0], pairs[:, 1] = split_ids(ids)
+    body[entries] = pairs.view(np.uint8).ravel()
+    head = b"".join((INDEX_MAGIC,
+                     _IDX_FIXED.pack(index.seed, index.dim, index.num_tables,
+                                     index.hash_bits),
+                     index.center.astype("<f8").tobytes(),
+                     _U32.pack(index.size)))
     with open(path, "wb") as fh:
-        fh.write(INDEX_MAGIC)
-        fh.write(_IDX_FIXED.pack(index.seed, index.dim, index.num_tables,
-                                 index.hash_bits))
-        fh.write(index.center.astype("<f8").tobytes())
-        fh.write(struct.pack("<I", index.size))
-        for buckets in index._buckets:
-            rows = np.concatenate([_NO_ROWS, *buckets.values()])
-            blob = np.stack(split_ids(index._ids[rows]), axis=1).astype(
-                "<u4").tobytes()
-            parts = [struct.pack("<I", len(buckets))]
-            off = 0
-            for key, bucket in buckets.items():
-                parts += (key.to_bytes(key_bytes, "big"),
-                          struct.pack("<I", bucket.size),
-                          blob[off:off + 8 * bucket.size])
-                off += 8 * bucket.size
-            fh.write(b"".join(parts))
+        fh.write(head)
+        fh.write(body)
 
 
 class _Reader:
@@ -553,6 +609,60 @@ class _Reader:
         return int.from_bytes(self.take(4, what), "little")
 
 
+def _walk(raw: bytes, off: int, num_tables: int, key_bytes: int, size: int,
+          path) -> tuple[list[int], list[int], int]:
+    """Each table's bucket count, every bucket's entry count (table by
+    table) and the end of the tables section that starts at `off`.
+
+    Each entry count sets where the next bucket starts, so this is the one
+    loop over buckets in Python, and it reads nothing but the counts. A
+    field that runs past the end of `raw` raises ParseError at the offset
+    where the field starts, before anything is allocated from a count; so
+    does a table whose entries do not number `size`.
+    """
+    unpack = _U32.unpack_from
+    step = key_bytes + 4
+    per_table, counts = [], []
+    for t in range(num_tables):
+        start = off
+        try:
+            (buckets,) = unpack(raw, off)
+            off += 4
+            for _ in range(buckets):
+                (count,) = unpack(raw, off + key_bytes)
+                counts.append(count)
+                off += step + 8 * count
+        except struct.error:  # a bucket count or head runs past the end
+            truncated = True
+        else:
+            truncated = off > len(raw)
+        if truncated:
+            # past the end, it was the last bucket's entries that ran over
+            raise ParseError(path, f"truncated table {t}", offset=(
+                off if off <= len(raw) else off - 8 * count))
+        found = (off - start - 4 - buckets * step) // 8
+        if found != size:
+            raise ParseError(path, f"table {t} indexes {found} records, "
+                                   f"expected {size}")
+        per_table.append(buckets)
+    return per_table, counts, off
+
+
+def _read_tables(raw: bytes, off: int, key_bytes: int, per_table,
+                 counts: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Every bucket's key, in the key column's `dtype`, and every entry's
+    record id, table by table, from the tables section at `off` that
+    `_walk` read. A function of its own, so that its byte-sized
+    temporaries are freed before the load stages its rows."""
+    _, bucket_bytes, entries = _layout(key_bytes, per_table, counts)
+    body = np.frombuffer(raw, dtype=np.uint8, count=entries.size, offset=off)
+    keys = np.bitwise_or.reduce(
+        body[bucket_bytes[:, :key_bytes]].astype(dtype)
+        << _key_shifts(key_bytes, dtype), axis=1)
+    pairs = body[entries].view("<u4").reshape(-1, 2)
+    return keys, combined_ids(pairs[:, 0], pairs[:, 1])
+
+
 def _find(ids: np.ndarray, by_id: np.ndarray, wanted) -> np.ndarray:
     """Position in `ids` (distinct, `by_id` its argsort) of each of
     `wanted`, -1 where absent."""
@@ -572,9 +682,13 @@ def load_index(path, data: Dataset) -> LshIndex:
 
     Every stored (tx_id, sample_id) must exist in `data`, and each record is
     re-hashed to confirm it belongs in its recorded bucket; a mismatch means
-    the snapshot and dataset do not correspond. Rows come out in table-0
-    order, which one sort resolves every table against; each table keeps
-    the file's bucket and entry order, which its keys cannot re-derive.
+    the snapshot and dataset do not correspond. `_walk` reads the entry
+    counts, the one loop over buckets in Python; numpy takes every key and
+    entry out through `_layout`. Rows come out in table-0 order: one sort
+    of each table's ids must equal table 0's sorted ids, which resolves
+    the table, and `_find` runs only to name what is wrong with one that
+    does not. Each table keeps the file's bucket and entry order, which
+    its keys cannot re-derive, and `_fill` builds its buckets.
     """
     raw = Path(path).read_bytes()
     reader = _Reader(raw, path)
@@ -587,60 +701,65 @@ def load_index(path, data: Dataset) -> LshIndex:
                          offset=8)
     center = np.frombuffer(reader.take(8 * dim, "center"), dtype="<f8")
     size = reader.u32("record count")
-
     key_bytes = (k + 7) // 8
-    tables = []  # per table: bucket keys, bucket sizes, entry ids in order
-    for t in range(num_tables):
-        what = f"table {t}"
-        keys, counts, chunks = [], [], []
-        for _ in range(reader.u32(what)):
-            head = reader.take(key_bytes + 4, what)
-            keys.append(int.from_bytes(head[:key_bytes], "big"))
-            counts.append(int.from_bytes(head[key_bytes:], "little"))
-            chunks.append(reader.take(8 * counts[-1], what))
-        entries = np.frombuffer(b"".join(chunks), dtype="<u4").reshape(-1, 2)
-        if entries.shape[0] != size:
-            raise ParseError(path, f"table {t} indexes {entries.shape[0]} "
-                                   f"records, expected {size}")
-        tables.append((keys, counts, combined_ids(entries[:, 0],
-                                                  entries[:, 1])))
-    if reader.off != len(raw):
-        raise ParseError(path, f"{len(raw) - reader.off} trailing bytes",
-                         offset=reader.off)
+    per_table, counts, end = _walk(raw, reader.off, num_tables, key_bytes,
+                                   size, path)
+    if end != len(raw):
+        raise ParseError(path, f"{len(raw) - end} trailing bytes", offset=end)
     try:
         index = LshIndex(dim, num_tables, k, seed, center)
     except ValidationError as e:
         raise ParseError(path, str(e), offset=8) from None
 
-    order = tables[0][2]  # rows come in table-0 order
-    data_rows = _find(data.ids, np.argsort(data.ids), order)
+    counts = np.array(counts, dtype=np.intp)
+    keys, table_ids = _read_tables(raw, reader.off, key_bytes, per_table,
+                                   counts, index._keys.dtype)
+    table_ids = table_ids.reshape(num_tables, size)
+    mine = np.argsort(table_ids, axis=1)  # each table's ids, sorted
+    order, by_id = table_ids[0], mine[0]  # rows come in table-0 order
+    ranked = order[by_id]
+    data_rows = np.empty(size, dtype=np.intp)
+    data_rows[by_id] = _find(data.ids, np.argsort(data.ids), ranked)
     missing = np.flatnonzero(data_rows < 0)
     if missing.size:
         raise ParseError(path, f"record {_id_text(int(order[missing[0]]))} "
                                f"not present in the resolving dataset")
+    if (ranked[1:] == ranked[:-1]).any():
+        raise ParseError(path, "table 0 lists a record twice")
     expected = index._stage(data.matrix[data_rows], order)
     index._n = size
 
-    by_id = np.argsort(order)
-    for t, (keys, counts, ids) in enumerate(tables):
-        rows = _find(order, by_id, ids)
-        unknown = np.flatnonzero(rows < 0)
-        if unknown.size:
-            raise ParseError(path, f"table {t} references unknown record "
-                                   f"{_id_text(int(ids[unknown[0]]))}")
-        if np.bincount(rows, minlength=size).max(initial=0) > 1:
+    # where a table's sorted ids equal `ranked`, its entry mine[t, i] is
+    # the record of row by_id[i]
+    rows = np.empty(num_tables * size, dtype=np.intp)  # each entry's row
+    np.put_along_axis(rows.reshape(num_tables, size), mine, by_id[None],
+                      axis=1)
+    resolved = (np.take_along_axis(table_ids, mine, axis=1)
+                == ranked).all(axis=1).tolist()
+    mismatch = (np.repeat(keys, counts) != expected[
+        rows, np.arange(num_tables).repeat(size)]).reshape(num_tables, size)
+    stops = np.cumsum(counts)
+    starts = stops - counts
+    first = 0  # table t's buckets are [first, first + per_table[t])
+    for t, (buckets, ids) in enumerate(zip(per_table, table_ids)):
+        if not resolved[t]:
+            unknown = np.flatnonzero(_find(order, by_id, ids) < 0)
+            if unknown.size:
+                raise ParseError(path, f"table {t} references unknown record "
+                                       f"{_id_text(int(ids[unknown[0]]))}")
             raise ParseError(path, f"table {t} lists a record twice")
-        stored = np.repeat(np.array(keys, dtype=expected.dtype), counts)
-        wrong = np.flatnonzero(stored != expected[rows, t])
+        wrong = np.flatnonzero(mismatch[t])
         if wrong.size:
             raise ParseError(
                 path, f"table {t}: {wrong.size} of {size} records do not hash "
                       f"to their recorded buckets (first: record "
                       f"{_id_text(int(ids[wrong[0]]))}); snapshot and dataset "
                       f"disagree")
-        stops = np.cumsum(counts).tolist()
-        _fill(index._buckets[t], keys, rows, [0, *stops[:-1]], stops)
-        if len(index._buckets[t]) != len(keys):
+        span = slice(first, first + buckets)
+        _fill(index._buckets[t], keys[span].tolist(), rows,
+              starts[span].tolist(), stops[span].tolist())
+        if len(index._buckets[t]) != buckets:
             raise ParseError(path, f"table {t} repeats a bucket key")
+        first += buckets
     index._id_set = set(order.tolist())
     return index

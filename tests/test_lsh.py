@@ -3,8 +3,10 @@ snapshots."""
 
 import gc
 import math
+import struct
 import sys
 import threading
+import tracemalloc
 import weakref
 from functools import partial
 
@@ -18,8 +20,9 @@ from lshauth import lsh
 from lshauth.data import Dataset, FingerprintRecord
 from lshauth.errors import (DimensionMismatchError, DuplicateRecordError,
                             ParseError, ValidationError)
-from lshauth.lsh import (DENSE_HIT_FRACTION, LshIndex, build_index,
-                         hyperplane_section_length, load_index, save_index)
+from lshauth.lsh import (DENSE_HIT_FRACTION, INDEX_MAGIC, LshIndex,
+                         build_index, hyperplane_section_length, load_index,
+                         save_index)
 from lshauth.oracle import exact_nn
 
 
@@ -1013,14 +1016,126 @@ def test_union_masks_of_two_threads_are_apart():
 
 def test_every_truncated_snapshot_raises_parse_error(tmp_path):
     data = _dataset(71, 100, 3)
-    index = build_index(3, 3, 4, seed=72)
+    path = tmp_path / "cut.idx"
+    for hash_bits in (4, 0, 65):  # keys of 1, 0 and 9 bytes
+        index = build_index(3, 3, hash_bits, seed=72)
+        index.insert_dataset(data)
+        raw = _snapshot(index, tmp_path)
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ParseError) as exc:
+                load_index(path, data)
+            assert exc.value.offset is None or exc.value.offset <= cut
+
+
+def _count_offsets(raw: bytes, table: int) -> tuple[int, list[int]]:
+    """Byte offsets of a snapshot table's bucket count and of each of its
+    buckets' entry counts, walked independently of lshauth."""
+    dim, num_tables, k = struct.unpack_from("<III", raw, 16)
+    off, key_bytes = hyperplane_section_length(dim) + 4, (k + 7) // 8
+    for t in range(table + 1):
+        table_at, counts_at = off, []
+        (buckets,) = struct.unpack_from("<I", raw, off)
+        off += 4
+        for _ in range(buckets):
+            counts_at.append(off + key_bytes)
+            (count,) = struct.unpack_from("<I", raw, off + key_bytes)
+            off += key_bytes + 4 + 8 * count
+    return table_at, counts_at
+
+
+@pytest.mark.parametrize("field", ["last bucket", "middle bucket",
+                                   "bucket count"])
+def test_hostile_counts_raise_before_allocating(tmp_path, field):
+    # a count of 2^32 - 1 in table 1 claims ~34 GB of entries (or ~26 GB of
+    # bucket heads); the load must find the file too short without
+    # allocating anything sized from the count
+    data = _dataset(73, 2000, 3)
+    index = build_index(3, 3, 4, seed=74)
+    index.insert_dataset(data)
+    raw = bytearray(_snapshot(index, tmp_path))
+    table_at, counts_at = _count_offsets(raw, 1)
+    at = {"last bucket": counts_at[-1],
+          "middle bucket": counts_at[len(counts_at) // 2],
+          "bucket count": table_at}[field]
+    raw[at:at + 4] = b"\xff" * 4
+    path = tmp_path / "hostile.idx"
+    path.write_bytes(raw)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="truncated table 1"):
+            load_index(path, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(raw)
+
+
+def _independent_snapshot(index) -> bytes:
+    """`index`'s snapshot as `write_snapshot` writes it from the index's
+    own buckets."""
+    head = (INDEX_MAGIC
+            + struct.pack("<QIII", index.seed, index.dim, index.num_tables,
+                          index.hash_bits)
+            + index.center.astype("<f8").tobytes())
+    tables = [[(key, [divmod(int(index._ids[r]), 1 << 32) for r in rows])
+               for key, rows in buckets.items()]
+              for buckets in index._buckets]
+    return write_snapshot(head, len(index), tables)
+
+
+@pytest.mark.parametrize("hash_bits", [0, 1, 7, 8, 9, 16, 63, 64, 65, 256])
+def test_save_writes_the_independent_layout(tmp_path, hash_bits):
+    # keys of 0 to 32 bytes, uint64 (K <= 64) and Python ints (K > 64);
+    # ids whose u32 halves use their top bits
+    rng = np.random.Generator(np.random.PCG64(hash_bits))
+    for num_tables in (1, 3, 20):
+        for n in (0, 1, 300):
+            data = Dataset(5, 2**31 + np.arange(n) % 7,
+                           2**32 - 1 - np.arange(n) // 7,
+                           rng.standard_normal((n, 5)).astype(np.float32))
+            index = build_index(5, num_tables, hash_bits, seed=n + num_tables,
+                                center=rng.standard_normal(5))
+            index.insert_dataset(data)
+            raw = _snapshot(index, tmp_path)
+            assert raw == _independent_snapshot(index), (num_tables, n)
+            loaded = load_index(tmp_path / "snap.idx", data)
+            assert _snapshot(loaded, tmp_path, "again.idx") == raw
+
+
+@pytest.mark.parametrize("hash_bits", [4, 65])
+def test_permuted_buckets_and_entries_load_and_resave(tmp_path, hash_bits):
+    data = _dataset(45, 200, 3)
+    index = build_index(3, 3, hash_bits, seed=46)
     index.insert_dataset(data)
     raw = _snapshot(index, tmp_path)
-    path = tmp_path / "cut.idx"
-    for cut in range(len(raw)):
-        path.write_bytes(raw[:cut])
-        with pytest.raises(ParseError):
-            load_index(path, data)
+    rng = np.random.Generator(np.random.PCG64(47))
+    tables = [[(key, [entries[i] for i in rng.permutation(len(entries))])
+               for key, entries in (buckets[i]
+                                    for i in rng.permutation(len(buckets)))]
+              for buckets in parse_snapshot(raw)]
+    permuted = write_snapshot(raw[:hyperplane_section_length(3)], 200, tables)
+    assert permuted != raw
+    path = tmp_path / "permuted.idx"
+    path.write_bytes(permuted)
+    assert _snapshot(load_index(path, data), tmp_path, "again.idx") == permuted
+
+
+def test_failed_save_leaves_an_existing_snapshot_unchanged(tmp_path,
+                                                          monkeypatch):
+    data = _dataset(49, 80, 4)
+    index = build_index(4, 3, 5, seed=50)
+    index.insert_dataset(data.subset(range(60)))
+    raw = _snapshot(index, tmp_path)
+    index.insert_dataset(data.subset(range(60, 80)))
+
+    def broken(ids):
+        raise RuntimeError("encoding failed")
+
+    monkeypatch.setattr(lsh, "split_ids", broken)
+    with pytest.raises(RuntimeError, match="encoding failed"):
+        save_index(index, tmp_path / "snap.idx")
+    assert (tmp_path / "snap.idx").read_bytes() == raw
 
 
 def test_failed_insert_leaves_index_unchanged(tmp_path, monkeypatch):
