@@ -184,10 +184,11 @@ def _cmd_enroll(args) -> int:
         else sorted(new_records.transmitters())
     if args.projector:
         new_records = project(load_projector(args.projector), new_records)
+    # merged first: a record `data` already holds fails here, before any write
+    merged = concat_datasets([data, new_records]) if len(new_records) else data
     enroll(index, registry, new_records, tx_ids)
     save_index(index, args.out_index)
     save_registry(registry, args.out_registry)
-    merged = concat_datasets([data, new_records]) if len(new_records) else data
     save_dataset(merged, args.out_data, args.format)
     print(f"enrolled {len(tx_ids)} transmitters ({len(new_records)} records); "
           f"index size {index.size}")

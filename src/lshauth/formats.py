@@ -81,13 +81,8 @@ def _load_bin(path) -> Dataset:
             path, f"expected {expected} bytes for {n} records of dim {dim}, "
                   f"got {len(raw)}", offset=min(len(raw), expected))
     rows = np.frombuffer(raw, dtype=_record_dtype(dim), offset=16)
-    vecs = rows["vector"]
-    if not np.all(np.isfinite(vecs)):
-        bad = int(np.argwhere(~np.isfinite(vecs).all(axis=1))[0][0])
-        raise ParseError(path, f"non-finite component in record {bad}",
-                         offset=16 + bad * rec_bytes)
     try:
-        return Dataset(dim, rows["tx"], rows["sample"], vecs)
+        return Dataset(dim, rows["tx"], rows["sample"], rows["vector"])
     except ValidationError as e:
         raise ParseError(path, str(e)) from None
 

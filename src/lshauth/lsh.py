@@ -26,11 +26,11 @@ then restricted to that union. A row is in the union exactly when its key
 equals the query's in some table. `LshIndex._union` builds the union as a
 bool[N] row mask by scattering each hit bucket into it, at a cost of S,
 the hit buckets' summed sizes (repeats across tables counted), rather than
-a pass over N. `candidates` and `candidate_count` read that mask.
+a pass over N. `candidate_count` counts that mask.
 `ann_search` reaches the scan by one of two branches, chosen per query
 from S:
-  - gather (S < DENSE_HIT_FRACTION * N): score every row of the mask, in
-    row order, with the shared kernel;
+  - gather (S < DENSE_HIT_FRACTION * N): take every row of the mask, in
+    row order;
   - dense (otherwise): score all N rows at once as |m|^2 - 2 m.v with one
     mat-vec against cached squared norms, keep the rows whose score is
     within 2E + 2.5 g k of the union's best one, where
@@ -40,8 +40,8 @@ from S:
     derived, not tuned: see `LshIndex._dense_shortlist`. Only when the
     best-scoring row of all is outside the union does this branch build
     the mask.
-Both re-score their rows with the shared kernel and tie-break, so they
-return the same record and distance bit for bit.
+Both hand their rows to `distance.nearest`, the oracle's scoring routine,
+so they return the same record and distance bit for bit.
 
 All hyperplanes are drawn up front from one PCG64 stream seeded at
 construction, so two indexes built with the same (dim, L, K, seed) are
@@ -92,8 +92,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset, FingerprintRecord, combined_ids, split_ids
-from .distance import (euclidean, gathered_squared_distances,
-                       nearest_position, query_vector, squared_distances)
+from .distance import nearest, query_vector, squared_distances
 from .errors import (DimensionMismatchError, DuplicateRecordError, ParseError,
                      ValidationError)
 
@@ -384,10 +383,11 @@ class LshIndex:
         return mask
 
     def _dense_shortlist(self, v64: np.ndarray, keys: np.ndarray,
-                         hits: list[np.ndarray]) -> Optional[np.ndarray]:
+                         hits: list[np.ndarray]) -> np.ndarray:
         """Union rows that can hold the union's nearest row, found with one
-        mat-vec over the whole store; None if the bound below overflows.
-        `keys` and `hits` are the query's, as `_hits` gives them.
+        mat-vec over the whole store; all of the union's rows if the bound
+        below overflows. `keys` and `hits` are the query's, as `_hits`
+        gives them.
 
         Row i scores a_i = fl(n_i - 2 fl(m_i . v)), where n_i = fl(|m_i|^2)
         is the cached squared norm. The exact value A_i = D_i - |v|^2, with
@@ -410,8 +410,8 @@ class LshIndex:
         covers the rounding of the threshold's two additions (each under
         u R^2 + u g k_j) and of R, whose share is O(d^2 u^2 R^2). So every
         union row at or under the computed threshold is returned, and
-        re-scoring them with the kernel and `nearest_position` gives the
-        union's result bit for bit.
+        re-scoring them with `distance.nearest` gives the union's result bit
+        for bit.
 
         A row is in the union exactly when its stored keys equal `keys` in
         some table, so membership is tested on the rows that need it: the
@@ -428,20 +428,15 @@ class LshIndex:
         if not (self._keys[j] == keys).any():
             np.copyto(score, np.inf, where=~self._union(hits))
             j = int(score.argmin())
-        k_j = float(squared_distances(self._matrix[j:j + 1], v64)[0])
+        k_j = float(squared_distances(self._matrix, [j], v64)[0])
         g = (d + 3) * _UNIT / (1.0 - (d + 3) * _UNIT)
         reach = math.sqrt(float(self._norms[:n].max())) + math.sqrt(
             float(v64 @ v64))
         limit = float(score[j]) + 2.0 * g * reach * reach + 2.5 * g * k_j
         if not math.isfinite(limit):
-            return None
+            return np.flatnonzero(self._union(hits))
         pos = np.flatnonzero(score <= limit)
         return pos[(self._keys[pos] == keys).any(axis=1)]
-
-    def candidates(self, vector) -> list[FingerprintRecord]:
-        """The records of the query's bucket union, in row order."""
-        _, hits = self._hits(query_vector(vector, self.dim, "index"))
-        return [self._record_at(r) for r in np.flatnonzero(self._union(hits))]
 
     def candidate_count(self, vector) -> int:
         _, hits = self._hits(query_vector(vector, self.dim, "index"))
@@ -454,22 +449,19 @@ class LshIndex:
         A query whose hit buckets hold at least DENSE_HIT_FRACTION * N
         rows in total (repeats across tables counted) takes the dense
         branch: a mat-vec over every row shortlists the union rows that can
-        be nearest (see `_dense_shortlist`). Any other query gathers the
-        rows of its union mask. Either way the kernel re-scores the rows and
-        `nearest_position` picks among them, so both branches return the
-        same record and distance.
+        be nearest (see `_dense_shortlist`). Any other query takes the
+        rows of its union mask. Either way `distance.nearest` re-scores the
+        rows and picks among them, so both branches return the same record
+        and distance.
         """
         v64 = query_vector(vector, self.dim, "index")
         keys, hits = self._hits(v64)
         if not hits:
             return None
-        pos = (self._dense_shortlist(v64, keys, hits)
-               if self._is_dense(hits) else None)
-        if pos is None:
-            pos = np.flatnonzero(self._union(hits))
-        sq = gathered_squared_distances(self._matrix, pos, v64)
-        best_i = nearest_position(self._ids[pos], sq)
-        return self._record_at(int(pos[best_i])), euclidean(float(sq[best_i]))
+        pos = (self._dense_shortlist(v64, keys, hits) if self._is_dense(hits)
+               else np.flatnonzero(self._union(hits)))
+        row, dist = nearest(self._matrix, self._ids, pos, v64)
+        return self._record_at(row), dist
 
     def bucket_stats(self) -> BucketStats:
         stats = BucketStats(size=self._n, hash_bits=self.hash_bits)
@@ -510,6 +502,7 @@ def build_index(dim: int, num_tables: int, hash_bits: int, seed: int,
 
 # -- snapshot io -------------------------------------------------------------
 
+_MAGIC = struct.Struct("8s")
 _IDX_FIXED = struct.Struct("<QIII")
 _U32 = struct.Struct("<I")
 
@@ -588,25 +581,14 @@ def save_index(index: LshIndex, path) -> None:
         fh.write(body)
 
 
-class _Reader:
-    """Cursor over a snapshot's bytes; every read is bounds-checked and a
-    short one raises ParseError."""
-
-    def __init__(self, raw: bytes, path):
-        self.view = memoryview(raw)
-        self.path = path
-        self.off = 0
-
-    def take(self, size: int, what: str) -> memoryview:
-        end = self.off + size
-        if end > len(self.view):
-            raise ParseError(self.path, f"truncated {what}", offset=self.off)
-        chunk = self.view[self.off:end]
-        self.off = end
-        return chunk
-
-    def u32(self, what: str) -> int:
-        return int.from_bytes(self.take(4, what), "little")
+def _unpack(fmt: struct.Struct, raw: bytes, off: int, what: str,
+            path) -> tuple:
+    """`fmt`'s fields at `off` in `raw`; ParseError("truncated `what`") at
+    `off` if they run past the end."""
+    try:
+        return fmt.unpack_from(raw, off)
+    except struct.error:
+        raise ParseError(path, f"truncated {what}", offset=off) from None
 
 
 def _walk(raw: bytes, off: int, num_tables: int, key_bytes: int, size: int,
@@ -691,19 +673,19 @@ def load_index(path, data: Dataset) -> LshIndex:
     its keys cannot re-derive, and `_fill` builds its buckets.
     """
     raw = Path(path).read_bytes()
-    reader = _Reader(raw, path)
-    if reader.take(8, "magic") != INDEX_MAGIC:
+    if _unpack(_MAGIC, raw, 0, "magic", path) != (INDEX_MAGIC,):
         raise ParseError(path, f"bad magic; expected {INDEX_MAGIC!r}", offset=0)
-    seed, dim, num_tables, k = _IDX_FIXED.unpack(
-        reader.take(_IDX_FIXED.size, "header"))
+    seed, dim, num_tables, k = _unpack(_IDX_FIXED, raw, 8, "header", path)
     if dim != data.dim:
         raise ParseError(path, f"snapshot dim {dim} != dataset dim {data.dim}",
                          offset=8)
-    center = np.frombuffer(reader.take(8 * dim, "center"), dtype="<f8")
-    size = reader.u32("record count")
+    off = 8 + _IDX_FIXED.size
+    center = _unpack(struct.Struct(f"<{dim}d"), raw, off, "center", path)
+    off += 8 * dim
+    (size,) = _unpack(_U32, raw, off, "record count", path)
+    off += 4
     key_bytes = (k + 7) // 8
-    per_table, counts, end = _walk(raw, reader.off, num_tables, key_bytes,
-                                   size, path)
+    per_table, counts, end = _walk(raw, off, num_tables, key_bytes, size, path)
     if end != len(raw):
         raise ParseError(path, f"{len(raw) - end} trailing bytes", offset=end)
     try:
@@ -712,7 +694,7 @@ def load_index(path, data: Dataset) -> LshIndex:
         raise ParseError(path, str(e), offset=8) from None
 
     counts = np.array(counts, dtype=np.intp)
-    keys, table_ids = _read_tables(raw, reader.off, key_bytes, per_table,
+    keys, table_ids = _read_tables(raw, off, key_bytes, per_table,
                                    counts, index._keys.dtype)
     table_ids = table_ids.reshape(num_tables, size)
     mine = np.argsort(table_ids, axis=1)  # each table's ids, sorted

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from .authorize import AuthDecision, decide_from_neighbor
 from .data import Dataset, FingerprintRecord, TransmitterRegistry
-from .distance import (euclidean, nearest_position, query_vector,
-                       squared_distances)
+from .distance import nearest, query_vector
 
 
 def exact_nn(data: Dataset, vector) -> Optional[tuple[FingerprintRecord, float]]:
@@ -20,9 +21,8 @@ def exact_nn(data: Dataset, vector) -> Optional[tuple[FingerprintRecord, float]]
     v = query_vector(vector, data.dim, "dataset")
     if len(data) == 0:
         return None
-    sq = squared_distances(data.matrix_f64(), v)
-    best = nearest_position(data.ids, sq)
-    return data.record(best), euclidean(float(sq[best]))
+    row, dist = nearest(data.matrix_f64(), data.ids, np.arange(len(data)), v)
+    return data.record(row), dist
 
 
 def oracle_authorize(data: Dataset, registry: TransmitterRegistry,

@@ -85,6 +85,24 @@ def small_dataset():
     return data
 
 
+def bucket_union(index):
+    """A function from a query to its bucket union, read without the
+    index's buckets: the indexed records, in row order, whose keys equal
+    the query's in some table, as a Dataset. Each call also checks
+    `index.candidate_count` against it. Reads the index's rows once, so
+    take a new one after an insert."""
+    indexed = index.indexed_dataset()
+    row_keys = index.keys(indexed.matrix_f64())
+
+    def union(q) -> Dataset:
+        q = np.asarray(q, dtype=np.float64).reshape(1, -1)
+        rows = np.flatnonzero((row_keys == index.keys(q)).any(axis=1))
+        assert index.candidate_count(q[0]) == rows.size
+        return indexed.subset(rows)
+
+    return union
+
+
 def parse_snapshot(raw: bytes) -> list[list[tuple[int, list[tuple[int, int]]]]]:
     """The tables of an `.idx` snapshot, read independently of lshauth.
 

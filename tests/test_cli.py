@@ -163,6 +163,27 @@ def test_enroll_then_revoke_round_trip(tmp_path):
     assert all(row.split(",")[2] == "neighbor_revoked" for row in rows)
 
 
+def test_failed_enroll_writes_no_output(tmp_path, capsys):
+    # --data already holds the new records, so the merged dataset cannot be
+    # built; the enroll must fail before it writes any of its outputs
+    all_path = _generate(tmp_path, name="all.bin", num_tx=4)
+    data = load_dataset(all_path)
+    pool_path, new_path = tmp_path / "pool.bin", tmp_path / "new.bin"
+    save_dataset(data.filter_tx([0, 1, 2]), pool_path)
+    save_dataset(data.filter_tx([3]), new_path)
+    index_path = _build(tmp_path, pool_path)
+    registry_path = tmp_path / "registry.csv"
+    registry_path.write_text(
+        "tx_id,status\n0,authorized\n1,authorized\n2,authorized\n")
+    outs = [tmp_path / name for name in ("out.idx", "out.bin", "out.csv")]
+    assert main(["enroll", "--index", str(index_path), "--data", str(all_path),
+                 "--new", str(new_path), "--registry", str(registry_path),
+                 "--out-index", str(outs[0]), "--out-data", str(outs[1]),
+                 "--out-registry", str(outs[2])]) == 2
+    assert "duplicate (tx_id, sample_id) = (3, 0)" in capsys.readouterr().err
+    assert [p for p in outs if p.exists()] == []
+
+
 def test_authorize_with_projector(tmp_path):
     from lshauth.dimreduce import fit_pca, save_projector
     from lshauth.formats import save_dataset

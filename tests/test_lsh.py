@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import parse_snapshot, write_snapshot
+from conftest import bucket_union, parse_snapshot, write_snapshot
 from lshauth import lsh
 from lshauth.data import Dataset, FingerprintRecord
 from lshauth.errors import (DimensionMismatchError, DuplicateRecordError,
@@ -128,7 +128,7 @@ def test_hash_key_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
         index.ann_search([1.0, 2.0])
     with pytest.raises(DimensionMismatchError):
-        index.candidates([1.0, 2.0, 3.0, 4.0])
+        index.candidate_count([1.0, 2.0, 3.0, 4.0])
 
 
 def _near_boundary_rows(index, rng, count: int) -> np.ndarray:
@@ -226,7 +226,8 @@ def test_insert_places_in_every_table(tmp_path):
     keys = _sign_keys(index, [record.vector])[0]
     assert parse_snapshot(_snapshot(index, tmp_path)) == [
         [(key, [(7, 1)])] for key in keys]
-    assert index.candidates(record.vector) == [record]
+    assert list(bucket_union(index)(record.vector)) == [record]
+    assert index.ann_search(record.vector) == (record, 0.0)
 
 
 def test_insert_duplicate_errors_and_size_stays():
@@ -277,7 +278,7 @@ def test_bulk_insert_duplicate_leaves_index_unchanged():
 
 def test_candidates_empty_index():
     index = build_index(4, 2, 3, seed=9)
-    assert index.candidates(np.zeros(4)) == []
+    assert len(bucket_union(index)(np.zeros(4))) == 0
     assert index.ann_search(np.zeros(4)) is None
 
 
@@ -285,9 +286,7 @@ def test_candidates_k0_returns_everything():
     index = build_index(3, 2, 0, seed=2)
     data = _dataset(4, 25, 3)
     index.insert_dataset(data)
-    cands = index.candidates(np.zeros(3))
-    assert len(cands) == 25
-    assert [c.key() for c in cands] == [r.key() for r in data]
+    assert bucket_union(index)(np.zeros(3)) == data
 
 
 def test_self_collision():
@@ -295,7 +294,7 @@ def test_self_collision():
     data = _dataset(2, 30, 5)
     index.insert_dataset(data)
     target = data.record(11)
-    keys = [c.key() for c in index.candidates(target.vector)]
+    keys = [c.key() for c in bucket_union(index)(target.vector)]
     assert target.key() in keys
 
 
@@ -323,26 +322,26 @@ def test_ann_self_query_distance_zero():
     assert record.key() == oracle_record.key()
 
 
-def test_candidates_are_unique_and_in_row_order():
-    # a record shared across tables appears once, at its insertion position
+def test_candidate_count_counts_a_shared_record_once():
     index = build_index(2, 4, 1, seed=11)
     data = _dataset(3, 12, 2)
     index.insert_dataset(data)
-    keys = [c.key() for c in index.candidates(data.matrix[0])]
-    assert keys == [r.key() for r in data if r.key() in set(keys)]
-    assert len(keys) == index.candidate_count(data.matrix[0])
+    q = data.matrix[0]
+    # records share q's key in more than one table, and bucket_union
+    # checks candidate_count against the distinct records
+    assert _hit_sum(index, data, q) > len(bucket_union(index)(q))
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(0, 6))
 def test_candidate_completeness_small(seed, num_tables, hash_bits):
-    """Brute-force key recomputation agrees with candidates()."""
+    """Brute-force key recomputation agrees with the bucket union."""
     data = _dataset(seed, 60, 4)
     index = build_index(4, num_tables, hash_bits, seed=seed ^ 0xABCD)
     index.insert_dataset(data)
     rng = np.random.Generator(np.random.PCG64(seed + 1))
     q = rng.standard_normal(4)
-    got = {c.key() for c in index.candidates(q)}
+    got = {c.key() for c in bucket_union(index)(q)}
     qkeys = _sign_keys(index, [q])[0]
     expected = {record.key()
                 for record, keys in zip(data, _sign_keys(index, data.matrix))
@@ -358,9 +357,10 @@ def test_candidate_completeness_at_full_scale():
     index.insert_dataset(data)
     record_keys = _sign_keys(index, data.matrix)
     rng = np.random.Generator(np.random.PCG64(31))
+    union = bucket_union(index)
     for _ in range(10):
         q = rng.standard_normal(6)
-        got = [c.key() for c in index.candidates(q)]
+        got = [c.key() for c in union(q)]
         assert len(got) == len(set(got))
         qkeys = _sign_keys(index, [q])[0]
         expected = {record.key()
@@ -371,15 +371,15 @@ def test_candidate_completeness_at_full_scale():
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 64), st.integers(1, 9))
-def test_gathered_distances_match_plain_form(seed, n, dim):
-    """The gathered distance path is bit-identical to the plain one."""
-    from lshauth.distance import gathered_squared_distances, squared_distances
+def test_subset_distances_match_full_scan(seed, n, dim):
+    """A subset of rows scores bit for bit as the full scan scores them."""
+    from lshauth.distance import squared_distances
     rng = np.random.Generator(np.random.PCG64(seed))
     matrix = rng.standard_normal((n + 5, dim))
     vector = rng.standard_normal(dim)
     rows = rng.choice(n + 5, size=n, replace=False)
-    gathered = gathered_squared_distances(matrix, rows, vector)
-    assert np.array_equal(gathered, squared_distances(matrix[rows], vector))
+    full = squared_distances(matrix, np.arange(n + 5), vector)
+    assert np.array_equal(squared_distances(matrix, rows, vector), full[rows])
 
 
 def test_candidate_monotonicity_in_l():
@@ -390,7 +390,8 @@ def test_candidate_monotonicity_in_l():
     for num_tables in range(1, 6):
         index = build_index(6, num_tables, 4, seed=99)
         index.insert_dataset(data)
-        sets = [{c.key() for c in index.candidates(q)} for q in queries]
+        union = bucket_union(index)
+        sets = [{c.key() for c in union(q)} for q in queries]
         if previous is not None:
             for small, big in zip(previous, sets):
                 assert small <= big
@@ -514,7 +515,8 @@ def test_snapshot_k0_round_trip(tmp_path):
     save_index(index, p1)
     loaded = load_index(p1, data)
     assert loaded.size == 20
-    assert loaded.candidates(np.zeros(3)) == index.candidates(np.zeros(3))
+    zero = np.zeros(3)
+    assert bucket_union(loaded)(zero) == bucket_union(index)(zero)
     save_index(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -696,23 +698,20 @@ def _hit_sum(index, data, q) -> int:
 
 
 def _union_nn(index, q):
-    candidates = index.candidates(q)
-    if not candidates:
-        return None
-    return exact_nn(Dataset.from_records(candidates, dim=index.dim), q)
+    return exact_nn(bucket_union(index)(q), q)
 
 
 @pytest.fixture
 def rescored(monkeypatch):
-    """Row counts of every re-score the index runs."""
+    """Row counts of every nearest-row pick the index runs."""
     counts = []
-    kernel = lsh.gathered_squared_distances
+    pick = lsh.nearest
 
-    def spy(matrix, rows, *args):
-        counts.append(rows.shape[0])
-        return kernel(matrix, rows, *args)
+    def spy(matrix, ids, rows, vector):
+        counts.append(len(rows))
+        return pick(matrix, ids, rows, vector)
 
-    monkeypatch.setattr(lsh, "gathered_squared_distances", spy)
+    monkeypatch.setattr(lsh, "nearest", spy)
     return counts
 
 
@@ -763,7 +762,7 @@ def _tied_index(num_tables, hash_bits, seed, closer_outside):
     index = build_index(dim, num_tables, hash_bits, seed=600 + seed)
     index.insert_dataset(data)
     assert _hit_sum(index, data, q) >= DENSE_HIT_FRACTION * len(index)
-    union = {r.key() for r in index.candidates(q)}
+    union = {r.key() for r in bucket_union(index)(q)}
     assert union.isdisjoint(tied_out + [(0, 0)])
     assert set(tied_in) <= union
     return index, q
@@ -1151,7 +1150,7 @@ def test_failed_insert_leaves_index_unchanged(tmp_path, monkeypatch):
 
         def state():
             found = [index.ann_search(q) for q in queries]
-            return (len(index), index.candidates(queries[15]),
+            return (len(index), list(bucket_union(index)(queries[15])),
                     _snapshot(index, tmp_path),
                     [(r.key(), d) for r, d in filter(None, found)])
 
