@@ -444,18 +444,6 @@ def run_grid_sweep(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def write_csv(rows: Sequence[dict], columns: Sequence[str], path) -> None:
-    def fmt(value) -> str:
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(row[c]) for c in columns) + "\n")
-
-
 def parse_setting(name: str, text: str):
     """One ExperimentConfig setting from text, typed by the field's default:
     int, float or str, and a comma list of ints for tuples."""

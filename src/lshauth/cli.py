@@ -18,7 +18,7 @@ import argparse
 import re
 import sys
 
-from . import bench
+from . import bench, formats
 from .authorize import authorize_batch, enroll, revoke
 from .bench import (SETTING_DEFAULTS, ExperimentConfig, parse_config_file,
                     parse_setting)
@@ -45,20 +45,6 @@ def parse_id_set(text: str) -> list[int]:
                 f"bad id range {chunk.strip()!r} in id set {text!r}")
         ids.update(range(int(m[1]), int(m[2] or m[1]) + 1))
     return sorted(ids)
-
-
-def _write_decisions(path, decisions, latencies) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(DECISION_COLUMNS + "\n")
-        for i, (d, ns) in enumerate(zip(decisions, latencies)):
-            if d.evidence is None:
-                nn_tx = nn_sample = distance = ""
-            else:
-                nn_tx = str(d.evidence.tx_id)
-                nn_sample = str(d.evidence.sample_id)
-                distance = repr(d.evidence.distance)
-            fh.write(f"{i},{d.verdict.value},{d.reason.value},"
-                     f"{nn_tx},{nn_sample},{distance},{ns}\n")
 
 
 def _registry_from_args(args) -> TransmitterRegistry:
@@ -168,7 +154,11 @@ def _cmd_authorize(args) -> int:
     projector = load_projector(args.projector) if args.projector else None
     decisions, latencies = authorize_batch(index, registry, queries,
                                            projector=projector)
-    _write_decisions(args.out, decisions, latencies)
+    formats.write_csv(args.out, DECISION_COLUMNS.split(","), (
+        (i, d.verdict.value, d.reason.value,
+         *(("", "", "") if d.evidence is None else
+           (d.evidence.tx_id, d.evidence.sample_id, d.evidence.distance)), ns)
+        for i, (d, ns) in enumerate(zip(decisions, latencies))))
     accepted = sum(d.verdict.value == "accept" for d in decisions)
     print(f"{len(decisions)} queries: {accepted} accepted, "
           f"{len(decisions) - accepted} rejected -> {args.out}")
@@ -207,7 +197,8 @@ def _cmd_revoke(args) -> int:
 def _cmd_bench_add(args) -> int:
     config = _experiment_config(args)
     rows = bench.run_add_auth_sweep(config)
-    bench.write_csv(rows, bench.ADD_SWEEP_COLUMNS, args.out)
+    formats.write_csv(args.out, bench.ADD_SWEEP_COLUMNS,
+                      ([row[c] for c in bench.ADD_SWEEP_COLUMNS] for row in rows))
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -215,7 +206,8 @@ def _cmd_bench_add(args) -> int:
 def _cmd_bench_grid(args) -> int:
     config = _experiment_config(args)
     rows = bench.run_grid_sweep(config)
-    bench.write_csv(rows, bench.GRID_COLUMNS, args.out)
+    formats.write_csv(args.out, bench.GRID_COLUMNS,
+                      ([row[c] for c in bench.GRID_COLUMNS] for row in rows))
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

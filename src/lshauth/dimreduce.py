@@ -13,7 +13,7 @@ reported as exactly 0, so rank-deficient data reads 0 on its trailing
 components. Each row is sign-normalized so its first component larger than
 1e-12 in magnitude is positive.
 
-Snapshot layout ("prj"):
+Snapshot layout ("prj"; saved and header-checked through `formats`):
     magic    8 bytes ASCII "LSHPRJ01"
     kind     u8: 0 = pca, 1 = random
     in_dim   u32 little-endian
@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset
 from .errors import DimensionMismatchError, ParseError, ValidationError
+from .formats import read_header, write_file
 
 PROJECTOR_MAGIC = b"LSHPRJ01"
+_HEADER = struct.Struct("<BII")
 ORTHONORMAL_TOL = 1e-6
 
 
@@ -146,26 +147,19 @@ _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 
 
 def save_projector(projector: Projector, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(PROJECTOR_MAGIC)
-        fh.write(struct.pack("<BII", _KIND_CODES[projector.kind],
-                             projector.in_dim, projector.out_dim))
-        fh.write(projector.mean.astype("<f8").tobytes())
-        fh.write(np.ascontiguousarray(projector.matrix, dtype="<f8").tobytes())
+    write_file(path, (PROJECTOR_MAGIC,
+                      _HEADER.pack(_KIND_CODES[projector.kind],
+                                   projector.in_dim, projector.out_dim),
+                      projector.mean.astype("<f8"),
+                      np.ascontiguousarray(projector.matrix, dtype="<f8")))
 
 
 def load_projector(path) -> Projector:
-    raw = Path(path).read_bytes()
-    if len(raw) < 8 or raw[:8] != PROJECTOR_MAGIC:
-        raise ParseError(path, f"bad magic; expected {PROJECTOR_MAGIC!r}", offset=0)
-    try:
-        code, in_dim, out_dim = struct.unpack_from("<BII", raw, 8)
-    except struct.error:
-        raise ParseError(path, "truncated header", offset=8) from None
+    raw, (code, in_dim, out_dim) = read_header(path, PROJECTOR_MAGIC, _HEADER)
     kind = _CODE_KINDS.get(code)
     if kind is None:
         raise ParseError(path, f"unknown projector kind code {code}", offset=8)
-    off = 8 + 9
+    off = 8 + _HEADER.size
     expected = off + 8 * in_dim + 8 * out_dim * in_dim
     if len(raw) != expected:
         raise ParseError(path, f"expected {expected} bytes, got {len(raw)}",

@@ -1,4 +1,5 @@
-"""On-disk formats for datasets and the transmitter registry.
+"""On-disk formats for datasets and the transmitter registry, the package's
+one file writer (`write_file`) and its binary header check (`read_header`).
 
 Binary dataset layout ("bin"):
     magic   8 bytes ASCII  "LSHEMB01"
@@ -13,11 +14,14 @@ CSV dataset layout ("csv"):
 
 Registry CSV:
     header  tx_id,status
-    rows    status in {authorized, known_outlier, revoked}
+    rows    status in {authorized, known_outlier, revoked}, one row per tx
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import re
 import struct
 from pathlib import Path
 
@@ -31,6 +35,53 @@ DATASET_MAGIC = b"LSHEMB01"
 _HEADER = struct.Struct("<II")
 
 FORMATS = ("bin", "csv")
+_U32_TEXT = re.compile(r"\s*0*(\d{1,10})\s*")
+
+
+def write_file(path, chunks) -> None:
+    """Make `chunks` (bytes, UTF-8 str or buffers, in order) the whole of
+    `path` via a new sibling file and `os.replace`; on any failure, remove
+    the sibling and leave `path` as it was. Mode: a plain `open`'s, or `path`'s."""
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    try:
+        fh = open(tmp, "xb")
+    except OSError as e:  # name the file asked for, not its sibling
+        raise OSError(e.errno, e.strerror, os.fspath(path)) from None
+    try:
+        with fh:
+            with contextlib.suppress(FileNotFoundError):
+                os.fchmod(fh.fileno(), os.stat(path).st_mode & 0o777)
+            for chunk in chunks:
+                fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_csv(path, columns, rows) -> None:
+    """A header line of `columns`, then one line of `str` fields per row."""
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    write_file(path, (line % tuple(r) for rs in ([columns], rows) for r in rs))
+
+
+def read_header(path, magic: bytes, fmt: struct.Struct) -> tuple[bytes, tuple]:
+    """The bytes at `path` and its `fmt` fields after `magic`, or ParseError."""
+    raw = Path(path).read_bytes()
+    if raw[:len(magic)] != magic:
+        raise ParseError(path, f"bad magic; expected {magic!r}", offset=0)
+    try:
+        return raw, fmt.unpack_from(raw, len(magic))
+    except struct.error:
+        raise ParseError(path, "truncated header", offset=len(magic)) from None
+
+
+def _parse_id(path, text: str, field: str, line: int) -> int:
+    """A u32 id: decimal digits, space-padded or not (as `cli.parse_id_set`)."""
+    m = _U32_TEXT.fullmatch(text)
+    if m is None or (value := int(m[1])) > 2**32 - 1:
+        raise ParseError(path, f"{field} is not a decimal u32: {text!r}", line=line)
+    return value
 
 
 def save_dataset(data: Dataset, path, fmt: str = "bin") -> None:
@@ -59,23 +110,14 @@ def _save_bin(data: Dataset, path) -> None:
     rows = np.empty(len(data), dtype=_record_dtype(data.dim))
     rows["tx"], rows["sample"], rows["vector"] = (data.tx_ids, data.sample_ids,
                                                   data.matrix)
-    with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(_HEADER.pack(len(data), data.dim))
-        fh.write(rows.tobytes())
+    write_file(path, (DATASET_MAGIC, _HEADER.pack(len(data), data.dim), rows))
 
 
 def _load_bin(path) -> Dataset:
-    raw = Path(path).read_bytes()
-    if len(raw) < 8 or raw[:8] != DATASET_MAGIC:
-        raise ParseError(path, f"bad magic; expected {DATASET_MAGIC!r}", offset=0)
-    if len(raw) < 16:
-        raise ParseError(path, "truncated header", offset=8)
-    n, dim = _HEADER.unpack_from(raw, 8)
+    raw, (n, dim) = read_header(path, DATASET_MAGIC, _HEADER)
     if dim < 1:
         raise ParseError(path, f"dim must be >= 1, got {dim}", offset=12)
-    rec_bytes = 8 + 4 * dim
-    expected = 16 + n * rec_bytes
+    expected = 16 + n * (8 + 4 * dim)
     if len(raw) != expected:
         raise ParseError(
             path, f"expected {expected} bytes for {n} records of dim {dim}, "
@@ -92,12 +134,9 @@ def _format_component(x: np.float32) -> str:
 
 
 def _save_csv(data: Dataset, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("tx_id,sample_id," + ",".join(f"f{i}" for i in range(data.dim)) + "\n")
-        mat = data.matrix
-        for i in range(len(data)):
-            comps = ",".join(_format_component(x) for x in mat[i])
-            fh.write(f"{int(data.tx_ids[i])},{int(data.sample_ids[i])},{comps}\n")
+    write_csv(path, ["tx_id", "sample_id", *(f"f{i}" for i in range(data.dim))],
+              ((t, s, *map(_format_component, v)) for t, s, v in
+               zip(data.tx_ids.tolist(), data.sample_ids.tolist(), data.matrix)))
 
 
 def read_text_lines(path) -> list[str]:
@@ -134,13 +173,12 @@ def _load_csv(path) -> Dataset:
         if len(parts) != 2 + dim:
             raise ParseError(path, f"expected {2 + dim} columns, got {len(parts)}",
                              line=lineno)
+        t = _parse_id(path, parts[0], "tx_id", lineno)
+        s = _parse_id(path, parts[1], "sample_id", lineno)
         try:
-            t, s = int(parts[0]), int(parts[1])
             vec = np.array([float(p) for p in parts[2:]], dtype=np.float32)
         except ValueError as e:
             raise ParseError(path, f"unparseable value: {e}", line=lineno) from None
-        if not (0 <= t <= 2**32 - 1 and 0 <= s <= 2**32 - 1):
-            raise ParseError(path, f"id out of u32 range: ({t}, {s})", line=lineno)
         if not np.all(np.isfinite(vec)):
             raise ParseError(path, "non-finite vector component", line=lineno)
         tx.append(t)
@@ -160,10 +198,8 @@ _STATUS_NAMES = {s.value: s for s in TxStatus}
 
 
 def save_registry(registry: TransmitterRegistry, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("tx_id,status\n")
-        for t in sorted(registry.statuses()):
-            fh.write(f"{t},{registry.status_of(t).value}\n")
+    write_csv(path, ("tx_id", "status"),
+              sorted((t, s.value) for t, s in registry.statuses().items()))
 
 
 def load_registry(path) -> TransmitterRegistry:
@@ -177,12 +213,9 @@ def load_registry(path) -> TransmitterRegistry:
         parts = line.split(",")
         if len(parts) != 2:
             raise ParseError(path, "expected 2 columns", line=lineno)
-        try:
-            t = int(parts[0])
-        except ValueError:
-            raise ParseError(path, f"bad tx_id {parts[0]!r}", line=lineno) from None
-        if not 0 <= t <= 2**32 - 1:
-            raise ParseError(path, f"tx_id out of u32 range: {t}", line=lineno)
+        t = _parse_id(path, parts[0], "tx_id", lineno)
+        if reg.is_registered(t):
+            raise ParseError(path, f"tx_id {t} listed twice", line=lineno)
         status = _STATUS_NAMES.get(parts[1])
         if status is None:
             raise ParseError(

@@ -70,11 +70,12 @@ dataset and verifies each record still hashes into its recorded bucket.
 Saving and loading share one description of the tables' bytes, `_layout`:
 where each table's bucket count and each bucket's key and entry count
 sit, and a mask of the entry bytes between them. A save iterates the
-bucket dicts only to collect keys, sizes and row arrays; numpy encodes
-the whole file before it is opened. A load walks only the entry counts
-in Python, each of which locates the next bucket, then takes every key
-and entry out with numpy and resolves each table with one sort of its
-ids. The byte span from the start of the file through `center` is exactly the
+bucket dicts only to collect keys, sizes and row arrays, and numpy
+encodes the tables, which `formats.write_file` writes. A load reads the
+head through `formats.read_header`, walks only the entry counts in
+Python, each of which locates the next bucket, then takes every key and
+entry out with numpy and resolves each table with one sort of its ids.
+The byte span from the start of the file through `center` is exactly the
 hyperplane-defining state: it is untouched by inserts.
 """
 
@@ -86,7 +87,6 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -95,6 +95,7 @@ from .data import Dataset, FingerprintRecord, combined_ids, split_ids
 from .distance import nearest, query_vector, squared_distances
 from .errors import (DimensionMismatchError, DuplicateRecordError, ParseError,
                      ValidationError)
+from .formats import read_header, write_file
 
 MAX_HASH_BITS = 256
 INDEX_MAGIC = b"LSHIDX01"
@@ -502,7 +503,6 @@ def build_index(dim: int, num_tables: int, hash_bits: int, seed: int,
 
 # -- snapshot io -------------------------------------------------------------
 
-_MAGIC = struct.Struct("8s")
 _IDX_FIXED = struct.Struct("<QIII")
 _U32 = struct.Struct("<I")
 
@@ -550,9 +550,8 @@ def save_index(index: LshIndex, path) -> None:
 
     Python walks the tables only to collect each bucket's key, size and
     row array; numpy then places every bucket count, key, entry count and
-    entry into one preallocated body through `_layout`. The whole file is
-    encoded before `path` is opened, so a failure leaves an existing file
-    as it was.
+    entry into one preallocated body through `_layout`. `write_file`
+    replaces `path` whole or not at all.
     """
     tables = index._buckets
     groups = [rows for buckets in tables for rows in buckets.values()]
@@ -571,14 +570,10 @@ def save_index(index: LshIndex, path) -> None:
     pairs = np.empty((ids.size, 2), dtype="<u4")
     pairs[:, 0], pairs[:, 1] = split_ids(ids)
     body[entries] = pairs.view(np.uint8).ravel()
-    head = b"".join((INDEX_MAGIC,
-                     _IDX_FIXED.pack(index.seed, index.dim, index.num_tables,
-                                     index.hash_bits),
-                     index.center.astype("<f8").tobytes(),
-                     _U32.pack(index.size)))
-    with open(path, "wb") as fh:
-        fh.write(head)
-        fh.write(body)
+    write_file(path, (INDEX_MAGIC,
+                      _IDX_FIXED.pack(index.seed, index.dim, index.num_tables,
+                                      index.hash_bits),
+                      index.center.astype("<f8"), _U32.pack(index.size), body))
 
 
 def _unpack(fmt: struct.Struct, raw: bytes, off: int, what: str,
@@ -672,10 +667,7 @@ def load_index(path, data: Dataset) -> LshIndex:
     does not. Each table keeps the file's bucket and entry order, which
     its keys cannot re-derive, and `_fill` builds its buckets.
     """
-    raw = Path(path).read_bytes()
-    if _unpack(_MAGIC, raw, 0, "magic", path) != (INDEX_MAGIC,):
-        raise ParseError(path, f"bad magic; expected {INDEX_MAGIC!r}", offset=0)
-    seed, dim, num_tables, k = _unpack(_IDX_FIXED, raw, 8, "header", path)
+    raw, (seed, dim, num_tables, k) = read_header(path, INDEX_MAGIC, _IDX_FIXED)
     if dim != data.dim:
         raise ParseError(path, f"snapshot dim {dim} != dataset dim {data.dim}",
                          offset=8)

@@ -11,8 +11,7 @@ from lshauth.bench import (ExperimentConfig, apply_addition,
                            build_initial_state, cap_per_class,
                            compute_metrics, latency_summary,
                            parse_config_file, parse_setting,
-                           run_add_auth_sweep, run_grid_sweep, time_block,
-                           write_csv)
+                           run_add_auth_sweep, run_grid_sweep, time_block)
 from lshauth.data import SyntheticSpec, generate_synthetic, split_dataset
 from lshauth.errors import ParseError, ValidationError
 from lshauth.lsh import build_index
@@ -312,10 +311,3 @@ def test_parse_setting_types_follow_defaults():
     assert parse_setting("scheme", "lsh_dimred") == "lsh_dimred"
     with pytest.raises(ValidationError, match="seed"):
         parse_setting("seed", "1.5")
-
-
-def test_write_csv(tmp_path):
-    rows = [{"a": 1, "b": 0.5}, {"a": 2, "b": 0.25}]
-    path = tmp_path / "out.csv"
-    write_csv(rows, ("a", "b"), path)
-    assert path.read_text() == "a,b\n1,0.5\n2,0.25\n"

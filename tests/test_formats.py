@@ -1,16 +1,30 @@
-"""Dataset and registry file formats: round trips and parse failures."""
+"""Dataset and registry file formats, round trips and parse failures, and
+the one file writer every save goes through."""
 
+import ast
+import errno
+import os
+import pickle
+import stat
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lshauth
+from lshauth import cli
 from lshauth.data import Dataset, TransmitterRegistry, TxStatus
+from lshauth.dimreduce import fit_random_projection
 from lshauth.errors import ParseError
 from lshauth.formats import (DATASET_MAGIC, load_dataset, load_registry,
-                             save_dataset, save_registry)
+                             save_dataset, save_registry, write_csv,
+                             write_file)
+from lshauth.lsh import build_index
 
 
 def _random_dataset(seed: int, n: int, dim: int) -> Dataset:
@@ -197,3 +211,214 @@ def test_text_file_that_is_not_utf8_names_its_line(tmp_path, load, text):
     with pytest.raises(ParseError, match="UTF-8") as exc:
         load(path)
     assert exc.value.line == 3
+
+
+def test_registry_that_lists_a_transmitter_twice_names_the_second_line(
+        tmp_path):
+    path = tmp_path / "reg.csv"
+    path.write_text("tx_id,status\n3,authorized\n\n4,revoked\n3,revoked\n")
+    with pytest.raises(ParseError, match="tx_id 3 listed twice") as exc:
+        load_registry(path)
+    assert exc.value.line == 5
+
+
+# each id field: a file whose line 2 holds `text` in that field, and the
+# ids it reads
+_ID_FIELDS = {
+    "registry tx_id": (load_registry, "tx_id,status\n{},authorized\n",
+                       lambda reg: list(reg.statuses())),
+    "csv tx_id": (lambda path: load_dataset(path, "csv"),
+                  "tx_id,sample_id,f0\n{},0,1.5\n",
+                  lambda data: data.tx_ids.tolist()),
+    "csv sample_id": (lambda path: load_dataset(path, "csv"),
+                      "tx_id,sample_id,f0\n0,{},1.5\n",
+                      lambda data: data.sample_ids.tolist()),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_ID_FIELDS))
+@pytest.mark.parametrize("text", [
+    "1_0", "+3", "-0", "0x3", "3.0", "3 3", "", " ", "4294967296",
+    "12345678901", pytest.param("1" * 5000, id="5000 digits")])
+def test_id_fields_take_decimal_digits_only(tmp_path, field, text):
+    load, body, _ = _ID_FIELDS[field]
+    path = tmp_path / "ids.csv"
+    path.write_text(body.format(text))
+    with pytest.raises(ParseError, match="decimal u32") as exc:
+        load(path)
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("field", sorted(_ID_FIELDS))
+def test_id_fields_may_be_space_padded_or_zero_led(tmp_path, field):
+    load, body, ids = _ID_FIELDS[field]
+    path = tmp_path / "ids.csv"
+    for text in (" 7 ", "007", "4294967295", "0" * 20 + "7"):
+        path.write_text(body.format(text))
+        assert ids(load(path)) == [int(text)]
+
+
+def test_write_csv(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, ("a", "b"), [(1, 0.5), (2, 0.25)])
+    assert path.read_text() == "a,b\n1,0.5\n2,0.25\n"
+
+
+# Each save case: (module, function, arguments) that write `path`, with a
+# bigger file when `big`. Inputs other than `path` go to `tmp`.
+def _index_save(tmp, path, big):
+    index = build_index(4, 3, 2, seed=1)
+    index.insert_dataset(_random_dataset(7, 40 if big else 10, 4))
+    return "lshauth.lsh", "save_index", (index, path)
+
+
+def _dataset_save(tmp, path, big):
+    return ("lshauth.formats", "save_dataset",
+            (_random_dataset(8, 40 if big else 10, 4), path, "bin"))
+
+
+def _registry_save(tmp, path, big):
+    registry = TransmitterRegistry()
+    registry.set_status(range(40 if big else 10), TxStatus.AUTHORIZED)
+    return "lshauth.formats", "save_registry", (registry, path)
+
+
+def _projector_save(tmp, path, big):
+    projector = fit_random_projection(12 if big else 4, 2, seed=3)
+    return "lshauth.dimreduce", "save_projector", (projector, path)
+
+
+def _authorize_save(tmp, path, big):
+    pool, queries = _random_dataset(9, 30, 4), _random_dataset(10, 40, 4)
+    save_dataset(pool, tmp / "pool.bin")
+    save_dataset(queries.subset(range(40 if big else 10)), tmp / "q.bin")
+    assert cli.main(["build", "--data", str(tmp / "pool.bin"), "--l-tables",
+                     "3", "--hash-bits", "2", "--out", str(tmp / "pool.idx")]) == 0
+    argv = ["authorize", "--index", str(tmp / "pool.idx"), "--data",
+            str(tmp / "pool.bin"), "--queries", str(tmp / "q.bin"),
+            "--authorized", "0-5", "--out", str(path)]
+    return "lshauth.cli", "main", (argv,)
+
+
+_SAVES = {"save_index": _index_save, "save_dataset": _dataset_save,
+          "save_registry": _registry_save, "save_projector": _projector_save,
+          "cli authorize --out": _authorize_save}
+
+
+def _save(case, tmp, path, big):
+    module, name, args = _SAVES[case](tmp, path, big)
+    getattr(sys.modules[module], name)(*args)
+
+
+# Sets a file size limit on itself, ignoring SIGXFSZ so that a write past
+# the limit raises EFBIG, then runs one pickled save case.
+_LIMITED_SAVE = """
+import importlib, pickle, resource, signal, sys
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]),) * 2)
+with open(sys.argv[2], "rb") as fh:
+    module, name, args = pickle.load(fh)
+getattr(importlib.import_module(module), name)(*args)
+"""
+
+
+@pytest.mark.parametrize("case", list(_SAVES))
+def test_a_save_that_fails_to_write_leaves_the_old_file(tmp_path, case):
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    inputs.mkdir()
+    out.mkdir()
+    path = out / "file"
+    _save(case, inputs, inputs / "probe", big=True)
+    new_size = (inputs / "probe").stat().st_size
+    _save(case, inputs, path, big=False)
+    old = path.read_bytes()
+    assert new_size > len(old) + 1
+    with open(inputs / "save.pkl", "wb") as fh:
+        pickle.dump(_SAVES[case](inputs, path, big=True), fh)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(lshauth.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run(
+        [sys.executable, "-B", "-c", _LIMITED_SAVE,
+         str((len(old) + new_size) // 2), str(inputs / "save.pkl")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert os.strerror(errno.EFBIG) in child.stderr
+    assert path.read_bytes() == old
+    assert os.listdir(out) == ["file"]
+
+
+def test_an_interrupted_write_leaves_the_old_file(tmp_path):
+    path = tmp_path / "file"
+    write_file(path, [b"old"])
+
+    def chunks():
+        yield b"new"
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        write_file(path, chunks())
+    assert path.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["file"]
+
+
+def test_a_write_that_cannot_start_names_the_file_asked_for(tmp_path):
+    path = tmp_path / "missing" / "file"
+    with pytest.raises(FileNotFoundError) as exc:
+        write_file(path, [b"x"])
+    assert exc.value.filename == str(path)
+
+
+@pytest.mark.parametrize("case", list(_SAVES))
+def test_a_save_gives_a_new_file_the_mode_open_gives(tmp_path, case):
+    umask = os.umask(0o027)
+    try:
+        _save(case, tmp_path, tmp_path / "file", big=False)
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "file").stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("case", list(_SAVES))
+def test_a_save_keeps_an_existing_file_mode(tmp_path, case):
+    path = tmp_path / "file"
+    _save(case, tmp_path, path, big=False)
+    for mode in (0o600, 0o604):
+        path.chmod(mode)
+        _save(case, tmp_path, path, big=True)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+
+
+def _writes(tree):
+    """Calls in `tree` that can write a file: `open` with a mode holding
+    w, a, x or + (or one that is not a literal), and write_bytes,
+    write_text and tofile."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", getattr(func, "attr", None))
+        if name in ("write_bytes", "write_text", "tofile"):
+            yield node
+        elif name == "open":
+            # open(file, mode) or path.open(mode)
+            args = node.args[1:] if isinstance(func, ast.Name) else node.args
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        args[0] if args else ast.Constant("r"))
+            if (not isinstance(mode, ast.Constant)
+                    or set(str(mode.value)) & set("wax+")):
+                yield node
+
+
+def test_formats_write_file_is_the_only_writer():
+    package = Path(lshauth.__file__).parent
+    inside, outside = [], []
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text(), str(source))
+        funcs = [n for n in tree.body if isinstance(n, ast.FunctionDef)
+                 and (source.name, n.name) == ("formats.py", "write_file")]
+        writer = {id(n) for func in funcs for n in ast.walk(func)}
+        for call in _writes(tree):
+            where = f"{source.name}:{call.lineno}"
+            (inside if id(call) in writer else outside).append(where)
+    assert outside == []
+    assert len(inside) == 1  # the writer's own open is seen

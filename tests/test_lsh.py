@@ -563,9 +563,12 @@ def test_snapshot_missing_record_rejected(tmp_path):
 
 def test_snapshot_bad_magic(tmp_path):
     path = tmp_path / "x.idx"
-    path.write_bytes(b"WRONG!!!" + b"\x00" * 32)
-    with pytest.raises(ParseError, match="magic"):
-        load_index(path, _dataset(0, 1, 1))
+    # a file shorter than the magic reads as a wrong magic, too
+    for raw in (b"WRONG!!!" + b"\x00" * 32, INDEX_MAGIC[:5]):
+        path.write_bytes(raw)
+        with pytest.raises(ParseError, match="bad magic") as exc:
+            load_index(path, _dataset(0, 1, 1))
+        assert exc.value.offset == 0
 
 
 def _structural_defect(case, tables):
